@@ -23,7 +23,7 @@ use embsr_train::SessionModel;
 
 use crate::gen::{MAX_LEN, TOP_K};
 use crate::serving::{
-    self, closed_loop, open_loop, references, rows_digest, same_lists, verify, Deployment, Kind,
+    self, closed_loop, open_loop, references, same_lists, same_rows, verify, Deployment, Kind,
     Spec, Stamps,
 };
 use crate::stats::{median, percentile, Counts, Outcome, Spans};
@@ -261,9 +261,7 @@ fn wire_rungs(
             });
             for (r, b) in resps.iter().zip(&resp_bytes) {
                 match wire::decode_score_response(b) {
-                    Ok(got)
-                        if rows_digest(&got.scores) == rows_digest(&r.scores)
-                            && got.model_version == 1 => {}
+                    Ok(got) if same_rows(&got.scores, &r.scores) && got.model_version == 1 => {}
                     _ => errors.push("score rows did not survive the codec bitwise".into()),
                 }
             }
@@ -525,12 +523,12 @@ fn loopback_rungs(
             open_run.late_ms.iter().copied().fold(0.0, f64::max),
         );
 
-        let mut mismatches = verify(&[], open, kind, &open_run.samples, refs).0;
+        let mut mismatches = verify(&[], open, kind, &open_run.samples, refs);
         let mut total = before;
         total.add(open_run.counts);
         out.counts.add(open_run.counts);
         for (first, run) in plain.iter().chain(&traced) {
-            mismatches.extend(verify(&closed[*first..], &[], kind, &run.samples, refs).0);
+            mismatches.extend(verify(&closed[*first..], &[], kind, &run.samples, refs));
             total.add(run.counts);
             out.counts.add(run.counts);
         }
