@@ -4,7 +4,7 @@
 use embsr_nn::{Embedding, Gru, Module};
 use embsr_sessions::Session;
 use embsr_tensor::{Rng, Tensor};
-use embsr_train::SessionModel;
+use embsr_train::{Head, Scorer, SessionModel};
 
 use crate::common::DotScorer;
 
@@ -54,18 +54,15 @@ impl SessionModel for Gru4Rec {
         DotScorer::logits(&self.session_repr(session), &self.items.weight)
     }
 
-    fn logits_batch(&self, sessions: &[&Session]) -> Tensor {
-        assert!(!sessions.is_empty(), "logits_batch of an empty batch");
-        let reprs: Vec<Tensor> = sessions.iter().map(|s| self.session_repr(s)).collect();
-        DotScorer::logits_rows(&Tensor::stack_rows(&reprs), &self.items.weight)
-    }
-
     fn repr_infer(&self, session: &Session) -> Option<Tensor> {
         Some(self.session_repr(session))
     }
 
-    fn logits_of_reprs(&self, reprs: &Tensor) -> Option<Tensor> {
-        Some(DotScorer::logits_rows(reprs, &self.items.weight))
+    fn head(&self) -> Option<Head> {
+        Some(Head {
+            scorer: Scorer::Dot,
+            items: self.items.weight.clone(),
+        })
     }
 }
 

@@ -6,7 +6,7 @@
 use embsr_nn::{Dropout, Embedding, Forward, Gru, Linear, Module, ModuleCtx};
 use embsr_sessions::Session;
 use embsr_tensor::{uniform_init, Rng, Tensor};
-use embsr_train::SessionModel;
+use embsr_train::{Head, Scorer, SessionModel};
 
 use crate::common::DotScorer;
 
@@ -92,23 +92,16 @@ impl SessionModel for Narm {
         DotScorer::logits(&c, &self.items.weight)
     }
 
-    fn logits_batch(&self, sessions: &[&Session]) -> Tensor {
-        assert!(!sessions.is_empty(), "logits_batch of an empty batch");
-        let mut rng = Rng::seed_from_u64(0); // dropout is off: never drawn from
-        let reprs: Vec<Tensor> = sessions
-            .iter()
-            .map(|s| self.session_repr(s, false, &mut rng))
-            .collect();
-        DotScorer::logits_rows(&Tensor::stack_rows(&reprs), &self.items.weight)
-    }
-
     fn repr_infer(&self, session: &Session) -> Option<Tensor> {
         let mut rng = Rng::seed_from_u64(0); // dropout is off: never drawn from
         Some(self.session_repr(session, false, &mut rng))
     }
 
-    fn logits_of_reprs(&self, reprs: &Tensor) -> Option<Tensor> {
-        Some(DotScorer::logits_rows(reprs, &self.items.weight))
+    fn head(&self) -> Option<Head> {
+        Some(Head {
+            scorer: Scorer::Dot,
+            items: self.items.weight.clone(),
+        })
     }
 }
 

@@ -6,7 +6,7 @@ use embsr_nn::{
 };
 use embsr_sessions::{Session, SessionGraph};
 use embsr_tensor::{Rng, Tensor};
-use embsr_train::SessionModel;
+use embsr_train::{Head, Scorer, SessionModel};
 
 use crate::config::{Backbone, EmbsrConfig};
 
@@ -256,8 +256,8 @@ impl Embsr {
     /// into the fused representation `m ∈ [d]` of eq. 18.
     ///
     /// [`SessionModel::logits`] scores one representation at a time;
-    /// [`SessionModel::logits_batch`] stacks many and amortizes the scorer's
-    /// item-table normalization across the batch.
+    /// batched and served scoring stack many and score them through the
+    /// [`SessionModel::head`], whose item side is prepared once.
     fn session_repr(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
         assert!(!session.is_empty(), "representation of an empty session");
         let sess = embsr_train::truncate_session(session, self.cfg.max_len);
@@ -365,26 +365,18 @@ impl SessionModel for Embsr {
         self.scorer.logits(&m, &self.items.weight) // (eq. 19)
     }
 
-    fn logits_batch(&self, sessions: &[&Session]) -> Tensor {
-        assert!(!sessions.is_empty(), "logits_batch of an empty batch");
-        let mut rng = Rng::seed_from_u64(0); // dropout is off: never drawn from
-        let reprs: Vec<Tensor> = sessions
-            .iter()
-            .map(|s| self.session_repr(s, false, &mut rng))
-            .collect();
-        // One GEMM scores the whole batch; the item table is normalized once
-        // instead of once per session.
-        self.scorer
-            .logits_rows(&Tensor::stack_rows(&reprs), &self.items.weight)
-    }
-
     fn repr_infer(&self, session: &Session) -> Option<Tensor> {
         let mut rng = Rng::seed_from_u64(0); // dropout is off: never drawn from
         Some(self.session_repr(session, false, &mut rng))
     }
 
-    fn logits_of_reprs(&self, reprs: &Tensor) -> Option<Tensor> {
-        Some(self.scorer.logits_rows(reprs, &self.items.weight))
+    fn head(&self) -> Option<Head> {
+        Some(Head {
+            scorer: Scorer::Cosine {
+                w_k: self.scorer.w_k,
+            }, // (eq. 19)
+            items: self.items.weight.clone(),
+        })
     }
 }
 

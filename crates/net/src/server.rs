@@ -797,7 +797,7 @@ fn handle_conn(stream: TcpStream, inner: Arc<Inner>) {
                     // Inline so negotiation never queues behind scoring.
                     let resp = match wire::decode_request_frame(req.kind, &req.payload) {
                         Ok(Request::Hello { max_version }) => {
-                            let version = max_version.min(VERSION).max(VERSION_V1);
+                            let version = max_version.clamp(VERSION_V1, VERSION);
                             let (kind, payload) =
                                 wire::encode_response(&Response::HelloAck { version });
                             Frame::versioned(req.version, kind, req.request_id, payload)

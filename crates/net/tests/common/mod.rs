@@ -9,7 +9,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use embsr_sessions::{MicroBehavior, Session};
 use embsr_tensor::{uniform_init, Rng, Tensor};
-use embsr_train::SessionModel;
+use embsr_train::{Head, Scorer, SessionModel};
 
 /// Serializes tests that mutate process-global observability state (the
 /// trace switch, sinks, the metrics registry).
@@ -18,9 +18,12 @@ pub fn guard() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Minimal deterministic model: logits are the mean of the weight rows of
-/// the session's items (the same shape as the serving engine's own test
-/// model, which is crate-private).
+/// Minimal deterministic model with the head seam: the representation is
+/// the mean of the weight rows of the session's items, and the head
+/// dot-scores it against the same weight matrix as the item table. Every
+/// snapshot swap therefore moves the head too, so the hot-swap suites
+/// exercise rebuilding the prepared head, and the engine-level repr cache
+/// engages in networked tests.
 pub struct ToyModel {
     weight: Tensor,
     num_items: usize,
@@ -33,6 +36,11 @@ impl ToyModel {
             weight: uniform_init(&[num_items, num_items], &mut rng),
             num_items,
         }
+    }
+
+    fn mean_row(&self, session: &Session) -> Tensor {
+        let idx: Vec<usize> = session.events.iter().map(|e| e.item as usize).collect();
+        self.weight.gather_rows(&idx).mean_rows()
     }
 }
 
@@ -47,18 +55,18 @@ impl SessionModel for ToyModel {
         vec![self.weight.clone()]
     }
     fn logits(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
-        let idx: Vec<usize> = session.events.iter().map(|e| e.item as usize).collect();
-        self.weight.gather_rows(&idx).mean_rows()
+        let n = self.num_items;
+        let repr = self.mean_row(session).reshape(&[1, n]);
+        repr.matmul_nt(&self.weight).reshape(&[n])
     }
-    // The repr seam, trivially: the "representation" is the logits row and
-    // the final projection is the identity, which satisfies the bitwise
-    // factoring contract and lets the engine-level repr cache engage in
-    // networked tests.
     fn repr_infer(&self, session: &Session) -> Option<Tensor> {
-        Some(self.logits_infer(session))
+        Some(self.mean_row(session))
     }
-    fn logits_of_reprs(&self, reprs: &Tensor) -> Option<Tensor> {
-        Some(reprs.clone())
+    fn head(&self) -> Option<Head> {
+        Some(Head {
+            scorer: Scorer::Dot,
+            items: self.weight.clone(),
+        })
     }
 }
 

@@ -332,11 +332,27 @@ impl Sink for JsonlSink {
 #[derive(Clone, Default)]
 pub struct MemorySink {
     lines: Arc<Mutex<Vec<String>>>,
+    /// When set, only events emitted on this thread are kept.
+    thread: Option<std::thread::ThreadId>,
 }
 
 impl MemorySink {
+    /// A sink that keeps every event, from any thread.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A sink that keeps only the events emitted on the calling thread.
+    ///
+    /// The dispatcher is process-global, so under a parallel test runner a
+    /// sink added by one test also receives whatever the tests running
+    /// beside it emit (span close events, log lines). A test that checks
+    /// its own thread's output captures with this instead of [`Self::new`].
+    pub fn this_thread() -> Self {
+        MemorySink {
+            lines: Arc::default(),
+            thread: Some(std::thread::current().id()),
+        }
     }
 
     /// Everything logged so far, one JSON document per element.
@@ -347,7 +363,8 @@ impl MemorySink {
 
 impl Sink for MemorySink {
     fn enabled(&self, _target: &str, _level: Level) -> bool {
-        true
+        // Called on the emitting thread, before the event is built.
+        self.thread.is_none_or(|t| t == std::thread::current().id())
     }
 
     fn log(&self, event: &Event<'_>) {
@@ -374,7 +391,7 @@ mod tests {
     fn jsonl_lines_have_the_documented_shape() {
         let _g = test_guard();
         clear_sinks();
-        let mem = MemorySink::new();
+        let mem = MemorySink::this_thread();
         add_sink(Arc::new(mem.clone()));
 
         crate::info!(target: "exp::test", "hello {}", 42);
@@ -408,7 +425,7 @@ mod tests {
     fn default_target_is_module_path() {
         let _g = test_guard();
         clear_sinks();
-        let mem = MemorySink::new();
+        let mem = MemorySink::this_thread();
         add_sink(Arc::new(mem.clone()));
         crate::warn!("no explicit target");
         let lines = mem.lines();
@@ -418,6 +435,33 @@ mod tests {
             v.get("target").unwrap().as_str(),
             Some("embsr_obs::sink::tests")
         );
+    }
+
+    #[test]
+    fn thread_scoped_sink_keeps_only_its_own_thread() {
+        let _g = test_guard();
+        clear_sinks();
+        let mine = MemorySink::this_thread();
+        let all = MemorySink::new();
+        add_sink(Arc::new(mine.clone()));
+        add_sink(Arc::new(all.clone()));
+        std::thread::spawn(|| crate::info!(target: "t", "elsewhere"))
+            .join()
+            .expect("emitter thread");
+        crate::info!(target: "t", "here");
+        clear_sinks();
+        let message = |l: &String| {
+            parse(l)
+                .unwrap()
+                .get("message")
+                .unwrap()
+                .as_str()
+                .map(str::to_owned)
+        };
+        let mine: Vec<_> = mine.lines().iter().filter_map(message).collect();
+        assert_eq!(mine, ["here"]);
+        let all: Vec<_> = all.lines().iter().filter_map(message).collect();
+        assert!(all.iter().any(|m| m == "elsewhere") && all.iter().any(|m| m == "here"));
     }
 
     #[test]

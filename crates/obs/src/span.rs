@@ -106,7 +106,7 @@ mod tests {
     fn close_event_carries_duration_and_outer_path() {
         let _g = test_guard();
         clear_sinks();
-        let mem = MemorySink::new();
+        let mem = MemorySink::this_thread();
         add_sink(Arc::new(mem.clone()));
         {
             let _outer = span("spans", "outer");

@@ -468,7 +468,7 @@ mod tests {
         let _g = test_guard();
         clear_sinks();
         set_enabled(false);
-        let mem = MemorySink::new();
+        let mem = MemorySink::this_thread();
         add_sink(Arc::new(mem.clone()));
         {
             let r = root("req");
@@ -486,7 +486,7 @@ mod tests {
         let _g = test_guard();
         clear_sinks();
         set_enabled(true);
-        let mem = MemorySink::new();
+        let mem = MemorySink::this_thread();
         add_sink(Arc::new(mem.clone()));
         let parent_ctx;
         {

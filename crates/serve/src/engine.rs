@@ -76,9 +76,9 @@ pub struct EngineConfig {
     /// [`ServeError::Overloaded`]. Non-shedding submits ignore the cap.
     pub queue_cap: usize,
     /// Entry capacity of the session-repr cache shared by this engine's
-    /// workers; `0` (the default) disables caching. Only models exposing
-    /// the repr seam ([`SessionModel::repr_infer`]) are cached — others
-    /// fall back to uncached scoring transparently.
+    /// workers; `0` (the default) disables caching. Only models with the
+    /// head seam ([`SessionModel::head`]) have a repr to cache; others
+    /// score uncached.
     pub repr_cache: usize,
     /// Version tag of the snapshot the engine starts serving; responses
     /// carry the tag of the snapshot that scored them.
@@ -383,10 +383,20 @@ impl Client<'_> {
     /// [`Client::try_score`]).
     pub fn try_top_k(&self, req: TopK, opts: SubmitOptions) -> Result<TopKResponse, ServeError> {
         let root = trace::root("top_k_request");
-        let (rows, model_version) = self.submit(req.sessions, root.ctx(), opts)?;
-        let _select = trace::child(root.ctx(), "top_k");
+        let ctx = root.ctx();
+        let (rows, model_version) = self.submit(req.sessions, ctx, opts)?;
+        let selected_from = if ctx.is_none() { 0 } else { trace::now_us() };
+        let items = rows.iter().map(|row| top_k_of_row(row, req.k)).collect();
+        if !ctx.is_none() {
+            let selected_at = trace::now_us();
+            // Close the request before emitting its last phase, so the
+            // phase record's own emission stays outside the request it
+            // times.
+            drop(root);
+            trace::emit_span(ctx, "top_k", selected_from, selected_at);
+        }
         Ok(TopKResponse {
-            items: rows.iter().map(|row| top_k_of_row(row, req.k)).collect(),
+            items,
             model_version,
         })
     }
@@ -717,17 +727,23 @@ where
                         .record(live.len() as u64);
                     embsr_obs::metrics::counter(METRIC_SESSIONS_SCORED).add(live.len() as u64);
                 }
+                let mut traced = Vec::new();
                 for (job, row) in live.into_iter().zip(rows) {
-                    if tracing && job.enqueued_us != 0 {
-                        // One shared batch timeline, attributed to every
-                        // request that rode in it.
-                        trace::emit_span(job.trace, "queue_wait", job.enqueued_us, drained_us);
-                        trace::emit_span(job.trace, "batch_assembly", drained_us, assembled_us);
-                        trace::emit_span(job.trace, "scoring", assembled_us, scored_us);
-                    }
                     // A receiver gone away just means the caller bailed out;
                     // drop its rows rather than killing the worker.
                     let _ = job.reply.send((job.slot, local_version, Ok(row)));
+                    if tracing && job.enqueued_us != 0 {
+                        traced.push((job.trace, job.enqueued_us));
+                    }
+                }
+                // One shared batch timeline, attributed to every request
+                // that rode in it. The spans carry their own timestamps, so
+                // emitting them after the replies changes no record; it only
+                // keeps the sinks' I/O off the requests' critical path.
+                for (ctx, enqueued_us) in traced {
+                    trace::emit_span(ctx, "queue_wait", enqueued_us, drained_us);
+                    trace::emit_span(ctx, "batch_assembly", drained_us, assembled_us);
+                    trace::emit_span(ctx, "scoring", assembled_us, scored_us);
                 }
             }
         },

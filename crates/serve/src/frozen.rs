@@ -1,13 +1,13 @@
 //! Frozen model snapshots for inference.
 
-use std::cell::Cell;
+use std::cell::OnceCell;
 use std::io;
 use std::path::Path;
 
 use embsr_sessions::Session;
 use embsr_tensor::kernels::{self, KernelTier};
 use embsr_tensor::{export_params, import_params, inference_mode, Tensor};
-use embsr_train::{truncate_session, SessionModel};
+use embsr_train::{truncate_session, PreparedHead, SessionModel};
 
 use crate::api::{top_k_of_row, ScoredItem};
 use crate::cache::ReprCache;
@@ -34,15 +34,25 @@ use crate::snapshot::{self, Precision};
 /// model by constructing a fresh instance and calling
 /// [`FrozenModel::from_snapshot`] (tensors are `Rc`-backed and cannot cross
 /// threads themselves).
+///
+/// For models with the head seam ([`SessionModel::head`]) every scoring
+/// call takes one path: encode each session (or replay its cached repr),
+/// stack, and score the stack with the model's head, prepared once. The
+/// prepared head — the item table normalized and packed for this replica's
+/// tier, `|V|·d·4` bytes — is built by the replica's first scoring call and
+/// dropped by every weight import ([`FrozenModel::swap_snapshot`]) and tier
+/// change ([`FrozenModel::set_tier`]), so a freeze that never scores never
+/// pays for it. Its rows are bitwise-equal to the model's own batched
+/// forward at the same tier.
 pub struct FrozenModel<M: SessionModel> {
     model: M,
     snapshot: Vec<f32>,
     max_session_len: usize,
     tier: KernelTier,
     precision: Precision,
-    /// Whether the model exposes the repr seam (`SessionModel::repr_infer`),
-    /// probed lazily on the first cached scoring call. `None` = unknown.
-    repr_capable: Cell<Option<bool>>,
+    /// The model's logits head prepared for `tier`; empty until the first
+    /// scoring call of a model with the head seam.
+    head: OnceCell<PreparedHead>,
 }
 
 impl<M: SessionModel> FrozenModel<M> {
@@ -71,7 +81,7 @@ impl<M: SessionModel> FrozenModel<M> {
             max_session_len,
             tier: KernelTier::Simd,
             precision,
-            repr_capable: Cell::new(None),
+            head: OnceCell::new(),
         }
     }
 
@@ -87,7 +97,7 @@ impl<M: SessionModel> FrozenModel<M> {
             max_session_len,
             tier: KernelTier::Simd,
             precision: Precision::F32,
-            repr_capable: Cell::new(None),
+            head: OnceCell::new(),
         }
     }
 
@@ -117,6 +127,7 @@ impl<M: SessionModel> FrozenModel<M> {
             ));
         }
         import_params(&self.model.parameters(), snapshot);
+        self.head.take();
         self.snapshot = snapshot.to_vec();
         self.max_session_len = max_session_len;
         self.precision = precision;
@@ -201,6 +212,7 @@ impl<M: SessionModel> FrozenModel<M> {
     /// epsilon-equivalent and rank-preserving.
     pub fn set_tier(&mut self, tier: KernelTier) {
         self.tier = tier;
+        self.head.take();
     }
 
     /// The precision the weights were frozen at.
@@ -224,152 +236,140 @@ impl<M: SessionModel> FrozenModel<M> {
     /// empty row (mirroring the eval harness, which skips empty prefixes)
     /// rather than tripping a model assert on a serving thread.
     pub fn score(&self, session: &Session) -> Vec<f32> {
-        if session.is_empty() {
-            return Vec::new();
-        }
         let _span =
             embsr_obs::span("embsr_serve", "score").with_close_level(embsr_obs::Level::Trace);
-        let truncated = truncate_session(session, self.max_session_len);
-        kernels::with_tier(self.tier, || {
-            inference_mode(|| self.model.logits_infer(&truncated)).to_vec()
-        })
+        let mut rows = self.map_rows(std::slice::from_ref(session), None, <[f32]>::to_vec);
+        rows.pop().unwrap_or_default()
     }
 
     /// Scores the full vocabulary for a batch of sessions, tape-free and
     /// batched: one `num_items`-length row per session, in input order.
     ///
     /// Row `i` is bitwise-equal to `self.score(&sessions[i])` **at the same
-    /// tier** — the batched forward shares the item-table pass across the
-    /// batch but computes each row with the same per-row reduction order as
-    /// the per-session path. Empty sessions get an empty row, like
-    /// [`FrozenModel::score`].
+    /// tier** — the batch shares the item-table pass but computes each row
+    /// with the same per-row reduction order as a batch of one. Empty
+    /// sessions get an empty row, like [`FrozenModel::score`].
     pub fn score_batch(&self, sessions: &[Session]) -> Vec<Vec<f32>> {
         let _span = embsr_obs::span("embsr_serve", "score_batch")
             .with_close_level(embsr_obs::Level::Trace);
-        let truncated: Vec<Session> = sessions
-            .iter()
-            .filter(|s| !s.is_empty())
-            .map(|s| truncate_session(s, self.max_session_len))
-            .collect();
-        if truncated.is_empty() {
-            return sessions.iter().map(|_| Vec::new()).collect();
-        }
-        let refs: Vec<&Session> = truncated.iter().collect();
-        let logits =
-            kernels::with_tier(self.tier, || inference_mode(|| self.model.logits_batch(&refs)));
-        let v = self.model.num_items();
-        assert_eq!(logits.rows(), refs.len(), "one logit row per session");
-        assert_eq!(logits.cols(), v, "full-vocabulary rows");
-        let flat = logits.to_vec();
-        // One chunk per non-empty session, guaranteed by the row assert above.
-        let mut scored = flat.chunks(v).map(|row| row.to_vec());
-        sessions
-            .iter()
-            .map(|s| {
-                if s.is_empty() {
-                    Vec::new()
-                } else {
-                    scored.next().unwrap_or_default()
-                }
-            })
-            .collect()
+        self.map_rows(sessions, None, <[f32]>::to_vec)
     }
 
     /// [`FrozenModel::score_batch`] through the session-repr cache: each
     /// non-empty session's representation is either a cache hit (the
     /// encoder is skipped entirely) or computed via
     /// [`SessionModel::repr_infer`] and inserted; the batch then runs the
-    /// same final logits GEMM as the uncached path.
+    /// same prepared head as the uncached path.
     ///
     /// **Bitwise contract:** every row equals the `score_batch` row at the
     /// same tier. Hits replay the exact `f32` values the encoder produced
     /// (keys verify the exact event sequence, so a hash collision is a
-    /// miss, never a wrong answer), and the GEMM consumes identical inputs
-    /// either way. Models without the repr seam fall back to
-    /// [`FrozenModel::score_batch`] transparently.
+    /// miss, never a wrong answer), and the head consumes identical inputs
+    /// either way. Models without the head seam have no repr to cache and
+    /// score exactly as [`FrozenModel::score_batch`] does.
     pub fn score_batch_cached(
         &self,
         sessions: &[Session],
         cache: &ReprCache,
         version: u64,
     ) -> Vec<Vec<f32>> {
-        if self.repr_capable.get() == Some(false) {
-            return self.score_batch(sessions);
-        }
         let _span = embsr_obs::span("embsr_serve", "score_batch_cached")
             .with_close_level(embsr_obs::Level::Trace);
+        self.map_rows(sessions, Some((cache, version)), <[f32]>::to_vec)
+    }
+
+    /// The `k` best items per session, best-first (ties broken by ascending
+    /// item id), selected straight from the scored batch.
+    pub fn top_k(&self, sessions: &[Session], k: usize) -> Vec<Vec<ScoredItem>> {
+        let _span =
+            embsr_obs::span("embsr_serve", "top_k").with_close_level(embsr_obs::Level::Trace);
+        self.map_rows(sessions, None, |row| top_k_of_row(row, k))
+    }
+
+    /// Scores the non-empty `sessions` (truncated to the horizon) in one
+    /// batch and maps each full-vocabulary row through `f`, in input order;
+    /// empty sessions map to `T::default()` without reaching the model.
+    fn map_rows<T: Default>(
+        &self,
+        sessions: &[Session],
+        cache: Option<(&ReprCache, u64)>,
+        f: impl Fn(&[f32]) -> T,
+    ) -> Vec<T> {
         let truncated: Vec<Session> = sessions
             .iter()
             .filter(|s| !s.is_empty())
             .map(|s| truncate_session(s, self.max_session_len))
             .collect();
         if truncated.is_empty() {
-            return sessions.iter().map(|_| Vec::new()).collect();
+            return sessions.iter().map(|_| T::default()).collect();
         }
-        // Probe the seam once per replica; models that keep the default
-        // `repr_infer = None` use the plain batched path forever after.
-        if self.repr_capable.get().is_none() {
-            let capable = kernels::with_tier(self.tier, || {
-                inference_mode(|| self.model.repr_infer(&truncated[0]).is_some())
-            });
-            self.repr_capable.set(Some(capable));
-            if !capable {
-                return self.score_batch(sessions);
-            }
-        }
-        let logits: Option<embsr_tensor::Tensor> = kernels::with_tier(self.tier, || {
-            inference_mode(|| {
-                let mut rows: Vec<Tensor> = Vec::with_capacity(truncated.len());
-                for s in &truncated {
-                    let repr = match cache.lookup(version, &s.events) {
-                        Some(v) => {
-                            let d = v.len();
-                            Tensor::from_vec(v, &[d])
-                        }
-                        None => {
-                            let r = self.model.repr_infer(s)?;
-                            cache.insert(version, &s.events, r.to_vec());
-                            r
-                        }
-                    };
-                    rows.push(repr);
-                }
-                self.model.logits_of_reprs(&Tensor::stack_rows(&rows))
-            })
+        let logits = kernels::with_tier(self.tier, || {
+            inference_mode(|| self.logits(&truncated, cache))
         });
-        let logits = match logits {
-            Some(l) => l,
-            // An override answering `repr_infer` but not `logits_of_reprs`
-            // (or vice versa) violates the seam contract; serve correctly
-            // anyway via the uncached path.
-            None => return self.score_batch(sessions),
-        };
         let v = self.model.num_items();
         assert_eq!(logits.rows(), truncated.len(), "one logit row per session");
         assert_eq!(logits.cols(), v, "full-vocabulary rows");
-        let flat = logits.to_vec();
-        let mut scored = flat.chunks(v).map(|row| row.to_vec());
+        let data = logits.data();
+        // One chunk per non-empty session, guaranteed by the row assert above.
+        let mut rows = data.chunks(v).map(f);
         sessions
             .iter()
             .map(|s| {
                 if s.is_empty() {
-                    Vec::new()
+                    T::default()
                 } else {
-                    scored.next().unwrap_or_default()
+                    rows.next().unwrap_or_default()
                 }
             })
             .collect()
     }
 
-    /// The `k` best items per session, best-first (ties broken by ascending
-    /// item id).
-    pub fn top_k(&self, sessions: &[Session], k: usize) -> Vec<Vec<ScoredItem>> {
-        let _span =
-            embsr_obs::span("embsr_serve", "top_k").with_close_level(embsr_obs::Level::Trace);
-        self.score_batch(sessions)
+    /// Logits `[B, |V|]` for non-empty, truncated sessions. Models with the
+    /// head seam encode each session (or replay its cached repr), stack,
+    /// and run the prepared head; others run their batched forward
+    /// uncached.
+    fn logits(&self, sessions: &[Session], cache: Option<(&ReprCache, u64)>) -> Tensor {
+        let Some(head) = self.prepared_head() else {
+            let refs: Vec<&Session> = sessions.iter().collect();
+            return self.model.logits_batch(&refs);
+        };
+        let reprs: Vec<Tensor> = sessions
             .iter()
-            .map(|row| top_k_of_row(row, k))
-            .collect()
+            .filter_map(|s| match cache {
+                Some((cache, version)) => match cache.lookup(version, &s.events) {
+                    Some(v) => {
+                        let d = v.len();
+                        Some(Tensor::from_vec(v, &[d]))
+                    }
+                    None => {
+                        let r = self.model.repr_infer(s)?;
+                        cache.insert(version, &s.events, r.to_vec());
+                        Some(r)
+                    }
+                },
+                None => self.model.repr_infer(s),
+            })
+            .collect();
+        assert_eq!(
+            reprs.len(),
+            sessions.len(),
+            "{} has a logits head, so repr_infer must answer",
+            self.model.name()
+        );
+        head.logits(&Tensor::stack_rows(&reprs))
+    }
+
+    /// The model's head prepared for this replica's tier, built on first
+    /// use; `None` for models without the head seam.
+    fn prepared_head(&self) -> Option<&PreparedHead> {
+        if let Some(head) = self.head.get() {
+            return Some(head);
+        }
+        let head = self.model.head()?;
+        Some(self.head.get_or_init(|| {
+            let _span = embsr_obs::span("embsr_serve", "prepare_head");
+            head.prepare(self.tier)
+        }))
     }
 }
 
@@ -522,16 +522,46 @@ mod tests {
         let frozen = FrozenModel::freeze(ToyModel::new(8, 3), 32);
         let cache = crate::cache::ReprCache::new(64);
         let sessions = vec![sess(&[1]), sess(&[2, 5])];
+        for _ in 0..2 {
+            assert_eq!(
+                frozen.score_batch_cached(&sessions, &cache, 1),
+                frozen.score_batch(&sessions)
+            );
+        }
+        assert_eq!(cache.stats().entries, 0, "no repr to cache");
+        assert!(frozen.head.get().is_none(), "no head to prepare");
+    }
+
+    #[test]
+    fn head_is_prepared_by_the_first_score_and_dropped_by_swaps_and_tier_changes() {
+        let next = FrozenModel::freeze(ReprToyModel(ToyModel::new(6, 8)), 16);
+        let mut live = FrozenModel::freeze(ReprToyModel(ToyModel::new(6, 7)), 16);
+        let s = [sess(&[1, 3])];
+        assert!(live.head.get().is_none(), "freezing alone prepares nothing");
+        let before = live.score_batch(&s);
+        assert_eq!(live.head.get().map(|h| h.tier()), Some(KernelTier::Simd));
+
+        // a weight import drops the head; the next score rebuilds it from
+        // the new weights
+        live.swap_snapshot(next.snapshot(), 16, Precision::F32).unwrap();
+        assert!(live.head.get().is_none());
+        assert_eq!(live.top_k(&s, 3), next.top_k(&s, 3));
+        assert_eq!(live.score_batch(&s), next.score_batch(&s));
+        assert_ne!(live.score_batch(&s), before);
+
+        // so does a tier change, and the rebuilt head is on the new tier
+        live.set_tier(KernelTier::Packed);
+        assert!(live.head.get().is_none());
+        let packed = live.score(&s[0]);
+        assert_eq!(live.head.get().map(|h| h.tier()), Some(KernelTier::Packed));
+        let reference = ReprToyModel(ToyModel::new(6, 0));
+        import_params(&reference.parameters(), next.snapshot());
+        let taped = reference.logits_infer(&s[0]).to_vec();
         assert_eq!(
-            frozen.score_batch_cached(&sessions, &cache, 1),
-            frozen.score_batch(&sessions)
+            packed.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            taped.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            "packed-tier head is bitwise with the taped forward"
         );
-        // second call takes the remembered-incapable early exit
-        assert_eq!(
-            frozen.score_batch_cached(&sessions, &cache, 1),
-            frozen.score_batch(&sessions)
-        );
-        assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use embsr_tensor::kernels::KernelTier;
 pub(crate) mod testing {
     use embsr_sessions::{MicroBehavior, Session};
     use embsr_tensor::{uniform_init, Rng, Tensor};
-    use embsr_train::SessionModel;
+    use embsr_train::{Head, Scorer, SessionModel};
 
     /// Minimal deterministic model: logits are the mean of the weight rows
     /// of the session's items, so scores depend on the whole (truncated)
@@ -90,11 +90,11 @@ pub(crate) mod testing {
         }
     }
 
-    /// [`ToyModel`] with the repr seam: the "representation" is the logits
-    /// row itself and the final GEMM is the identity, which satisfies the
-    /// bitwise factoring contract trivially. Exercises the cached scoring
-    /// path (plain `ToyModel` keeps the seamless default and exercises the
-    /// fallback).
+    /// [`ToyModel`] with the head seam: the representation is ToyModel's
+    /// mean row and the head dot-scores it against the same weight matrix
+    /// as the item table. The head therefore moves with every weight swap,
+    /// so the engine tests exercise rebuilding it; plain `ToyModel` keeps
+    /// the seamless default.
     pub struct ReprToyModel(pub ToyModel);
 
     impl SessionModel for ReprToyModel {
@@ -108,13 +108,18 @@ pub(crate) mod testing {
             self.0.parameters()
         }
         fn logits(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
-            self.0.logits(session, training, rng)
+            let n = self.num_items();
+            let repr = self.0.logits(session, training, rng).reshape(&[1, n]);
+            repr.matmul_nt(&self.0.weight).reshape(&[n])
         }
         fn repr_infer(&self, session: &Session) -> Option<Tensor> {
-            Some(self.logits_infer(session))
+            Some(self.0.logits_infer(session))
         }
-        fn logits_of_reprs(&self, reprs: &Tensor) -> Option<Tensor> {
-            Some(reprs.clone())
+        fn head(&self) -> Option<Head> {
+            Some(Head {
+                scorer: Scorer::Dot,
+                items: self.0.weight.clone(),
+            })
         }
     }
 

@@ -11,7 +11,8 @@
 //!
 //! * The B operand is packed once per call into `[reduction][tile-width]`
 //!   panels (zero-padded at the right edge) so the inner loop reads one
-//!   contiguous cache line per step.
+//!   contiguous cache line per step — or once ahead of time, for an `A·Bᵀ`
+//!   operand that many calls share (`PackedAbt`: the serving item table).
 //! * The A operand is packed per row-strip into `[reduction][tile-height]`
 //!   strips (transposed where needed) so all tile rows load contiguously.
 //! * Each accumulator starts at `+0.0` and adds the products `a[i][p]·b[p][j]`
@@ -52,9 +53,10 @@
 //! loop also runs under `inference_mode` and must stay bitwise.
 //!
 //! When [`embsr_obs::profile`] is enabled, the three public entry points
-//! additionally record shape-bucketed timings under tier-tagged sites
-//! (`gemm_ab[packed]`, `gemm_ab[simd]`, …) so busiest-first reports attribute
-//! time per kernel tier. The hooks only read a clock around the unchanged
+//! and `PackedAbt::gemm` additionally record shape-bucketed timings under
+//! tier-tagged sites (`gemm_ab[packed]`, `gemm_ab[simd]`, …,
+//! `gemm_abt_prepacked[simd]`) so busiest-first reports attribute time per
+//! kernel tier. The hooks only read a clock around the unchanged
 //! body — one relaxed atomic load when profiling is off, and never a change
 //! to the accumulation order either way.
 
@@ -303,19 +305,40 @@ fn pack_a_colmajor(
     }
 }
 
-/// Shared driver for all variants and both tiled tiers. Logical problem:
-/// `out[M,N] += Σ_p Â[i,p]·B̂[p,j]` with reduction length `r`; the closures
-/// materialize `Â`/`B̂` panels from whatever physical layout the variant has,
-/// and `TM`/`TN` select the tile shape. Row/column blocking lives here and is
-/// free to change; the reduction is never split, so the accumulation chain is
-/// whatever the micro-kernel does — bitwise-pinned for [`microkernel`],
-/// epsilon-bounded for [`microkernel_simd`].
-fn tiled_gemm<const TM: usize, const TN: usize>(
+/// The B-panel packing step of [`tiled_gemm`]: fills `bpack` with
+/// `n.div_ceil(TN)` panels of `[r][TN]`, panel `p` covering output columns
+/// `p·TN ..` via `pack_b_panel(dst, j0, w)`. `bpack` must arrive zeroed so
+/// the right edge of the last panel stays zero.
+#[inline(always)]
+fn pack_b_panels<const TN: usize>(
+    bpack: &mut [f32],
+    r: usize,
+    n: usize,
+    mut pack_b_panel: impl FnMut(&mut [f32], usize, usize),
+) {
+    let panels = n.div_ceil(TN);
+    debug_assert_eq!(bpack.len(), panels * r * TN);
+    for panel in 0..panels {
+        let j0 = panel * TN;
+        let w = TN.min(n - j0);
+        pack_b_panel(&mut bpack[panel * r * TN..(panel + 1) * r * TN], j0, w);
+    }
+}
+
+/// The compute pass of [`tiled_gemm`] over B panels laid out by
+/// [`pack_b_panels`]: `out[M,N] += Σ_p Â[i,p]·B̂[p,j]` with reduction length
+/// `r`. `pack_a_strip` materializes each `Â` row-strip from whatever layout
+/// the variant has, and `TM`/`TN` select the tile shape. Row/column blocking
+/// lives here and is free to change; the reduction is never split, so the
+/// accumulation chain is whatever the micro-kernel does — bitwise-pinned
+/// for [`microkernel`], epsilon-bounded for [`microkernel_simd`].
+#[inline(always)]
+fn gemm_on_panels<const TM: usize, const TN: usize>(
     out: &mut [f32],
     m: usize,
     r: usize,
     n: usize,
-    pack_b_panel: &dyn Fn(&mut [f32], usize, usize),
+    bpack: &[f32],
     pack_a_strip: &dyn Fn(&mut [f32], usize, usize),
     kernel: impl Fn(&[f32], &[f32], usize, &mut [[f32; TN]; TM]),
 ) {
@@ -324,12 +347,6 @@ fn tiled_gemm<const TM: usize, const TN: usize>(
         return;
     }
     let panels = n.div_ceil(TN);
-    let mut bpack = pool::take_zeroed(panels * r * TN);
-    for panel in 0..panels {
-        let j0 = panel * TN;
-        let w = TN.min(n - j0);
-        pack_b_panel(&mut bpack[panel * r * TN..(panel + 1) * r * TN], j0, w);
-    }
     let mut apack = pool::take_zeroed(r * TM);
     let mut i0 = 0;
     while i0 < m {
@@ -351,6 +368,28 @@ fn tiled_gemm<const TM: usize, const TN: usize>(
         i0 += TM;
     }
     pool::give(apack);
+}
+
+/// Shared driver for all variants and both tiled tiers: packs B into pooled
+/// scratch panels ([`pack_b_panels`]), then runs one compute pass over them
+/// ([`gemm_on_panels`]). [`PackedAbt`] runs the same two steps with the
+/// packing done once ahead of time.
+fn tiled_gemm<const TM: usize, const TN: usize>(
+    out: &mut [f32],
+    m: usize,
+    r: usize,
+    n: usize,
+    pack_b_panel: &dyn Fn(&mut [f32], usize, usize),
+    pack_a_strip: &dyn Fn(&mut [f32], usize, usize),
+    kernel: impl Fn(&[f32], &[f32], usize, &mut [[f32; TN]; TM]),
+) {
+    debug_assert_eq!(out.len(), m * n);
+    if m == 0 || n == 0 || r == 0 {
+        return;
+    }
+    let mut bpack = pool::take_zeroed(n.div_ceil(TN) * r * TN);
+    pack_b_panels::<TN>(&mut bpack, r, n, pack_b_panel);
+    gemm_on_panels::<TM, TN>(out, m, r, n, &bpack, pack_a_strip, kernel);
     pool::give(bpack);
 }
 
@@ -507,6 +546,139 @@ pub fn gemm_abt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, n: usize, kb: u
         };
         embsr_obs::profile::record(site, m, n, kb, w.elapsed_us(), (2 * m * n * kb) as u64);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Prepacked right operand
+// ---------------------------------------------------------------------------
+
+/// The right operand of `C += A·Bᵀ`, packed once for one kernel tier.
+///
+/// [`gemm_abt`] transpose-packs `B` into panels on every call. When `B` is
+/// fixed across many calls — a serving item table between weight swaps —
+/// packing it once leaves each call only its own work: the A strips and the
+/// micro-kernel. [`PackedAbt::gemm`] feeds the stored panels to the same
+/// compute pass, in the same order, as [`gemm_abt`] at the stored tier, so
+/// every output is **bitwise-equal** to the on-the-fly call at that tier
+/// (`tests/kernel_equivalence.rs`). The scalar tier has no panels; it keeps
+/// `B` row-major for [`reference_gemm_abt`].
+///
+/// The panels live in a plain heap buffer, outside the thread-local pool:
+/// they are held for the operand's lifetime, not recycled per call. They
+/// take `⌈rows/w⌉·w·depth` floats for the tier's tile width `w` ([`NR`] or
+/// [`SIMD_NR`]), i.e. `rows·depth` when the width divides `rows`.
+pub struct PackedAbt {
+    tier: KernelTier,
+    rows: usize,
+    depth: usize,
+    data: Vec<f32>,
+}
+
+impl PackedAbt {
+    /// Packs the `[rows, depth]` operand `B` for `tier`. `B` is never read
+    /// whole: `fill_row(j, dst)` writes row `j` into `dst` (`depth` floats)
+    /// when its panel is packed, so a caller can pack a table derived from
+    /// another — the row-normalized item table — without materializing it.
+    pub fn from_rows(
+        rows: usize,
+        depth: usize,
+        tier: KernelTier,
+        mut fill_row: impl FnMut(usize, &mut [f32]),
+    ) -> PackedAbt {
+        let data = match tier {
+            KernelTier::Scalar => {
+                let mut b = vec![0.0; rows * depth];
+                for j in 0..rows {
+                    fill_row(j, &mut b[j * depth..(j + 1) * depth]);
+                }
+                b
+            }
+            KernelTier::Packed => pack_rows_transposed::<NR>(rows, depth, &mut fill_row),
+            KernelTier::Simd => pack_rows_transposed::<SIMD_NR>(rows, depth, &mut fill_row),
+        };
+        PackedAbt {
+            tier,
+            rows,
+            depth,
+            data,
+        }
+    }
+
+    /// The tier the operand was packed for.
+    pub fn tier(&self) -> KernelTier {
+        self.tier
+    }
+
+    /// Rows of `B`: the output width of [`PackedAbt::gemm`].
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Columns of `B`: the reduction length.
+    pub fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// `C[m,rows] += A[m,depth] · Bᵀ` on the stored operand, bitwise-equal
+    /// to [`gemm_abt`] on the unpacked `B` at [`PackedAbt::tier`] — whatever
+    /// tier the calling thread is on. Profiled under `gemm_abt_prepacked[…]`.
+    pub fn gemm(&self, a: &[f32], out: &mut [f32], m: usize) {
+        let (n, kb) = (self.depth, self.rows);
+        debug_assert_eq!(a.len(), m * n);
+        debug_assert_eq!(out.len(), m * kb);
+        let watch = embsr_obs::profile::enabled().then(embsr_obs::Stopwatch::start);
+        match self.tier {
+            KernelTier::Scalar => reference_gemm_abt(a, &self.data, out, m, n, kb),
+            KernelTier::Packed => gemm_on_panels::<MR, NR>(
+                out,
+                m,
+                n,
+                kb,
+                &self.data,
+                &|dst, i0, mr| pack_a_rowmajor(dst, a, n, i0, mr, MR),
+                microkernel,
+            ),
+            KernelTier::Simd => gemm_on_panels::<SIMD_MR, SIMD_NR>(
+                out,
+                m,
+                n,
+                kb,
+                &self.data,
+                &|dst, i0, mr| pack_a_rowmajor(dst, a, n, i0, mr, SIMD_MR),
+                microkernel_simd,
+            ),
+        }
+        if let Some(w) = watch {
+            let site = match self.tier {
+                KernelTier::Scalar => "gemm_abt_prepacked[scalar]",
+                KernelTier::Packed => "gemm_abt_prepacked[packed]",
+                KernelTier::Simd => "gemm_abt_prepacked[simd]",
+            };
+            embsr_obs::profile::record(site, m, n, kb, w.elapsed_us(), (2 * m * n * kb) as u64);
+        }
+    }
+}
+
+/// [`pack_b_panels`] for the `A·Bᵀ` layout with `B` supplied row by row:
+/// each panel's rows are written into a `[TN][depth]` scratch, then
+/// transpose-packed exactly as [`gemm_abt`] packs them.
+fn pack_rows_transposed<const TN: usize>(
+    rows: usize,
+    depth: usize,
+    fill_row: &mut dyn FnMut(usize, &mut [f32]),
+) -> Vec<f32> {
+    let mut data = vec![0.0; rows.div_ceil(TN) * depth * TN];
+    if depth == 0 {
+        return data;
+    }
+    let mut scratch = vec![0.0; TN * depth];
+    pack_b_panels::<TN>(&mut data, depth, rows, |dst, j0, w| {
+        for (jj, row) in scratch.chunks_exact_mut(depth).take(w).enumerate() {
+            fill_row(j0 + jj, row);
+        }
+        pack_b_transposed(dst, &scratch, depth, 0, w, TN);
+    });
+    data
 }
 
 /// Straightforward scalar reference for [`gemm_ab`]: per output element, one

@@ -8,7 +8,7 @@
 //! matmul in this codebase (embedding lookups use the dedicated
 //! `gather_rows` indexed path), so no sparse fallback is kept.
 
-use super::kernels::{gemm_ab, gemm_abt, gemm_atb};
+use super::kernels::{gemm_ab, gemm_abt, gemm_atb, PackedAbt};
 use crate::pool;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -102,6 +102,46 @@ impl Tensor {
                     rhs_t.accumulate_grad_owned(db);
                 }
             }),
+        )
+    }
+
+    /// [`Tensor::matmul_nt`] against a right operand packed once ahead of
+    /// time ([`PackedAbt`]): `[m,k] · [n,k]ᵀ → [m,n]`, every row bitwise-equal
+    /// to `matmul_nt` on the unpacked operand at the operand's tier. The
+    /// output buffer comes from the pool like any op's.
+    ///
+    /// Inference-only: the packed operand is a constant, and the result
+    /// records no tape (no gradient reaches `self` through it).
+    ///
+    /// # Panics
+    /// Panics on rank ≠ 2 or a reduction length that differs from the
+    /// operand's depth.
+    pub fn matmul_nt_packed(&self, rhs: &PackedAbt) -> Tensor {
+        assert_eq!(
+            self.shape().rank(),
+            2,
+            "matmul_nt_packed lhs must be rank 2"
+        );
+        let (m, k) = self.shape().as_matrix();
+        let n = rhs.rows();
+        assert_eq!(
+            k,
+            rhs.depth(),
+            "matmul_nt_packed inner dims: {} vs {}",
+            k,
+            rhs.depth()
+        );
+        if embsr_obs::metrics::enabled() {
+            embsr_obs::metrics::counter("tensor.matmul_flops").add((2 * m * k * n) as u64);
+        }
+        let mut out = pool::take_zeroed(m * n);
+        rhs.gemm(&self.data(), &mut out, m);
+        Tensor::from_op(
+            out,
+            Shape::new(&[m, n]),
+            Vec::new(),
+            "matmul_nt_packed",
+            Box::new(|_| {}),
         )
     }
 

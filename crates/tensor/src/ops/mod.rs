@@ -21,4 +21,4 @@ pub use fused::{
     fused_softmax_rows, gated_blend, gated_update_combine, gated_update_gates, gru_step_fused,
     gru_step_fused_masked, star_blend,
 };
-pub use norm::softmax_slice;
+pub use norm::{l2_normalize_row, softmax_slice};

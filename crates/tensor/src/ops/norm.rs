@@ -153,12 +153,11 @@ impl Tensor {
         let mut out = pool::take_zeroed(rows * cols);
         let mut norms = pool::take_zeroed(rows);
         for r in 0..rows {
-            let row = &d[r * cols..(r + 1) * cols];
-            let norm = row.iter().map(|&x| x * x).sum::<f32>().sqrt().max(eps);
-            norms[r] = norm;
-            for (o, &x) in out[r * cols..(r + 1) * cols].iter_mut().zip(row) {
-                *o = x / norm;
-            }
+            norms[r] = l2_normalize_row(
+                &d[r * cols..(r + 1) * cols],
+                &mut out[r * cols..(r + 1) * cols],
+                eps,
+            );
         }
         drop(d);
         let saved_y = pool::guard_copy(&out);
@@ -207,6 +206,19 @@ pub fn softmax_slice(xs: &mut [f32]) {
     for x in xs.iter_mut() {
         *x /= sum;
     }
+}
+
+/// One row of [`Tensor::l2_normalize_rows`]: writes `row / max(‖row‖₂, eps)`
+/// into `out` and returns the clamped norm. Shared with callers that build a
+/// normalized table outside the tape (the serving logits head packs its item
+/// table through it), so both produce the same bits.
+pub fn l2_normalize_row(row: &[f32], out: &mut [f32], eps: f32) -> f32 {
+    debug_assert_eq!(row.len(), out.len());
+    let norm = row.iter().map(|&x| x * x).sum::<f32>().sqrt().max(eps);
+    for (o, &x) in out.iter_mut().zip(row) {
+        *o = x / norm;
+    }
+    norm
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! * [`Recommender`] — the uniform interface the evaluation harness scores
 //!   (non-neural methods like S-POP/SKNN implement it directly);
 //! * [`SessionModel`] — a neural next-item model: parameters + per-session
-//!   logits;
+//!   logits, optionally factored into an encoder and a logits [`Head`];
 //! * [`Trainer`] / [`TrainConfig`] — mini-batch Adam training with gradient
 //!   clipping, session truncation and validation-based early stopping,
 //!   following the paper's protocol (Adam, batch training, ≤ 50 epochs,
@@ -17,6 +17,7 @@
 
 mod checkpoint;
 mod config;
+mod head;
 mod parallel;
 mod recommender;
 mod trainer;
@@ -25,6 +26,7 @@ pub use checkpoint::{
     load_model, load_tensors, load_train_state, save_model, save_tensors, save_train_state,
 };
 pub use config::TrainConfig;
+pub use head::{Head, PreparedHead, Scorer};
 pub use parallel::{ParallelTrainer, TrainState};
 pub use recommender::{NeuralRecommender, Recommender, SessionModel};
 pub use trainer::{truncate_session, EpochStats, TrainReport, Trainer};

@@ -1,7 +1,9 @@
 //! The [`Recommender`] and [`SessionModel`] interfaces.
 
 use embsr_sessions::{Example, Session};
-use embsr_tensor::{Rng, Tensor};
+use embsr_tensor::{kernels, Rng, Tensor};
+
+use crate::head::Head;
 
 /// Anything that can score the full item vocabulary for a session.
 ///
@@ -74,13 +76,28 @@ pub trait SessionModel {
     /// Inference-time logits for a batch of sessions, shape `[B, |V|]` with
     /// row `i` scoring `sessions[i]`.
     ///
-    /// The default stacks per-session [`SessionModel::logits_infer`] rows.
-    /// Models override it to share work across the batch — encoding each
-    /// session once and scoring all representations against the item table
-    /// in a single GEMM — while keeping every row bitwise-equal to the
-    /// per-session path (GEMM rows are independent sequential dot products).
+    /// Models with the factored seam ([`SessionModel::head`]) get one path:
+    /// each session encoded by [`SessionModel::repr_infer`], the reprs
+    /// stacked, and a single head GEMM against the item table, prepared for
+    /// the calling thread's kernel tier. Other models stack per-session
+    /// [`SessionModel::logits_infer`] rows unless they override this to
+    /// share work across the batch. Either way every row is bitwise-equal
+    /// to the per-session path (GEMM rows are independent sequential dot
+    /// products).
     fn logits_batch(&self, sessions: &[&Session]) -> Tensor {
         assert!(!sessions.is_empty(), "logits_batch of an empty batch");
+        if let Some(head) = self.head() {
+            let reprs: Vec<Tensor> = sessions.iter().filter_map(|s| self.repr_infer(s)).collect();
+            assert_eq!(
+                reprs.len(),
+                sessions.len(),
+                "{} has a logits head, so repr_infer must answer",
+                self.name()
+            );
+            return head
+                .prepare(kernels::active_tier())
+                .logits(&Tensor::stack_rows(&reprs));
+        }
         let rows: Vec<Tensor> = sessions
             .iter()
             .map(|s| {
@@ -93,12 +110,12 @@ pub trait SessionModel {
     }
 
     /// Inference-time session representation `[d]` — the model state right
-    /// before the final logits GEMM, when the model has such a seam.
+    /// before the logits head, when the model has such a seam.
     ///
-    /// The contract that makes the serving-side repr cache sound: for any
-    /// batch, stacking `repr_infer` rows and applying
-    /// [`SessionModel::logits_of_reprs`] must reproduce
-    /// [`SessionModel::logits_batch`] **bitwise** (same kernel tier, same
+    /// Must be `Some` exactly when [`SessionModel::head`] is. The contract
+    /// that makes the serving-side repr cache sound: for any batch, stacking
+    /// `repr_infer` rows and scoring them with the head must reproduce the
+    /// model's own `logits` rows **bitwise** (same kernel tier, same
     /// inference mode). Models whose forward does not factor this way keep
     /// the default `None`, which disables caching for them.
     fn repr_infer(&self, session: &Session) -> Option<Tensor> {
@@ -106,13 +123,18 @@ pub trait SessionModel {
         None
     }
 
-    /// Logits `[B, |V|]` from stacked representations `[B, d]` — the final
-    /// GEMM of the factored forward. Must be `Some` exactly when
-    /// [`SessionModel::repr_infer`] is, and together with it reproduce
-    /// [`SessionModel::logits_batch`] bitwise.
-    fn logits_of_reprs(&self, reprs: &Tensor) -> Option<Tensor> {
-        let _ = reprs;
+    /// The model's logits head — its scorer and item table — when its
+    /// forward factors through [`SessionModel::repr_infer`]. Serving
+    /// prepares it once per weight version ([`Head::prepare`]).
+    fn head(&self) -> Option<Head> {
         None
+    }
+
+    /// Logits `[B, |V|]` from stacked representations `[B, d]`: the
+    /// [`SessionModel::head`] prepared for the calling thread's kernel tier,
+    /// `None` for models without one.
+    fn logits_of_reprs(&self, reprs: &Tensor) -> Option<Tensor> {
+        Some(self.head()?.prepare(kernels::active_tier()).logits(reprs))
     }
 }
 

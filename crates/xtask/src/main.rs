@@ -234,8 +234,17 @@ fn findings_json(
     ])
 }
 
+/// True when `dir` holds a manifest declaring its own `[workspace]` table.
+/// Cargo never makes such a package a member of an enclosing workspace, so
+/// it is outside the workspace being linted and its rules do not apply.
+fn is_own_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|m| m.lines().any(|l| l.trim() == "[workspace]"))
+}
+
 /// Recursively collects `.rs` files and `Cargo.toml` manifests, skipping
-/// build output, VCS metadata, and lint fixtures.
+/// build output, VCS metadata, lint fixtures, and packages that are not
+/// members of the workspace being linted (see [`is_own_workspace`]).
 fn collect(
     root: &Path,
     rel: &Path,
@@ -253,7 +262,9 @@ fn collect(
         };
         let path = root.join(&sub);
         if path.is_dir() {
-            if matches!(name.as_str(), "target" | ".git" | "fixtures" | "results" | "node_modules") {
+            if matches!(name.as_str(), "target" | ".git" | "fixtures" | "results" | "node_modules")
+                || is_own_workspace(&path)
+            {
                 continue;
             }
             collect(root, &sub, rs_files, manifests)?;

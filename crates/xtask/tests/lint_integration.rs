@@ -161,6 +161,38 @@ fn lint_fails_on_seeded_violations_with_rule_and_location() {
 }
 
 #[test]
+fn packages_outside_the_workspace_are_not_linted() {
+    // `standalone/` declares its own `[workspace]`, so it is not a member
+    // of the fixture workspace: its copy of the member crate's violations
+    // must not be reported, while the member's still are.
+    let fixture = manifest_dir().join("fixtures/nested_workspace");
+    let out = xtask()
+        .args(["lint", "--root"])
+        .arg(&fixture)
+        .output()
+        .expect("xtask binary must run");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        !out.status.success(),
+        "the member crate's violations fail the lint"
+    );
+    assert!(
+        stdout.contains("error[no-timing-outside-obs]: member/src/lib.rs:6"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("error[no-panic-ratchet]: member/src/lib.rs:7"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("standalone/"), "{stdout}");
+    // Neither its source file nor its manifest was collected.
+    assert!(
+        stdout.contains("xtask lint: 1 file(s), 2 manifest(s)"),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn json_output_is_machine_readable() {
     let fixture = manifest_dir().join("fixtures/bad_workspace");
     let out = xtask()

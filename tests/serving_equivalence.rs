@@ -30,9 +30,10 @@
 use embsr_baselines::{Gru4Rec, Narm};
 use embsr_core::{Embsr, EmbsrConfig};
 use embsr_eval::{hit_at_k, rank_of_target, reciprocal_rank_at_k};
-use embsr_serve::{FrozenModel, KernelTier, Precision, ReprCache};
+use embsr_serve::{top_k_of_row, FrozenModel, KernelTier, Precision, ReprCache};
 use embsr_sessions::{MicroBehavior, Session};
-use embsr_train::{NeuralRecommender, Recommender, SessionModel, TrainConfig};
+use embsr_tensor::{import_params, inference_mode, kernels};
+use embsr_train::{truncate_session, NeuralRecommender, Recommender, SessionModel, TrainConfig};
 
 const SEEDS: [u64; 3] = [11, 42, 1337];
 const RAGGED_BATCHES: [usize; 5] = [1, 3, 4, 5, 32];
@@ -488,6 +489,140 @@ fn repr_cache_isolates_versions_and_packed_tier_stays_bitwise() {
     }
     let stats = cache.stats();
     assert!(stats.hits > 0, "both versions warm: {stats:?}");
+}
+
+// ---------------------------------------------------------------------------
+// Prepared head: the frozen model's rows are the model's own rows, through
+// every event that rebuilds the head
+// ---------------------------------------------------------------------------
+
+/// Asserts that `frozen` serves exactly the rows the model computes for
+/// itself at the frozen tier: `reference` (loaded with the frozen weights)
+/// scores each chunk on the fly, both batched (`logits_batch`) and per
+/// session (`logits_infer`, whose head normalizes and packs the item table
+/// on every call). `score_batch`, the cached path and `top_k` must all agree
+/// with those rows bitwise.
+fn assert_prepared_head_matches_model<M: SessionModel>(
+    frozen: &FrozenModel<M>,
+    reference: &M,
+    seed: u64,
+    label: &str,
+) {
+    import_params(&reference.parameters(), frozen.snapshot());
+    let on_tier =
+        |f: &dyn Fn() -> Vec<f32>| kernels::with_tier(frozen.tier(), || inference_mode(f));
+    let cache = ReprCache::new(256);
+    let v = frozen.num_items();
+    for chunk in test_sessions(seed).chunks(5) {
+        let truncated: Vec<Session> = chunk
+            .iter()
+            .map(|s| truncate_session(s, frozen.max_session_len()))
+            .collect();
+        let refs: Vec<&Session> = truncated.iter().collect();
+        let batched = on_tier(&|| reference.logits_batch(&refs).to_vec());
+        let served = frozen.score_batch(chunk);
+        let cached = frozen.score_batch_cached(chunk, &cache, 1);
+        let top = frozen.top_k(chunk, 20);
+        for (i, session) in truncated.iter().enumerate() {
+            let single = on_tier(&|| reference.logits_infer(session).to_vec());
+            let want: Vec<u32> = batched[i * v..(i + 1) * v]
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            let ctx = format!(
+                "{label} model {} tier {:?} seed {seed} session {}",
+                frozen.name(),
+                frozen.tier(),
+                session.id
+            );
+            for (name, row) in [
+                ("per-session", &single),
+                ("served", &served[i]),
+                ("cached", &cached[i]),
+            ] {
+                let got: Vec<u32> = row.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, want, "{ctx}: {name} row != logits_batch row");
+            }
+            let want_top: Vec<(u32, u32)> = top_k_of_row(&served[i], 20)
+                .iter()
+                .map(|s| (s.item, s.score.to_bits()))
+                .collect();
+            let got_top: Vec<(u32, u32)> =
+                top[i].iter().map(|s| (s.item, s.score.to_bits())).collect();
+            assert_eq!(got_top, want_top, "{ctx}: top_k");
+        }
+    }
+}
+
+/// Drives one model family through every event that rebuilds a frozen
+/// replica's prepared head: a fresh replica from a snapshot, a swap to
+/// another version, tier changes both ways, and reduced-precision freezes
+/// and swaps.
+fn prepared_head_survives_rebuilds<M: SessionModel>(make: impl Fn(u64) -> M, label: &str) {
+    let max_len = TrainConfig::fast().max_session_len;
+    for seed in SEEDS {
+        let reference = make(0);
+        let master = FrozenModel::freeze(make(seed), max_len);
+        let mut replica = FrozenModel::from_snapshot(make(seed + 1), master.snapshot(), max_len);
+        assert_prepared_head_matches_model(
+            &replica,
+            &reference,
+            seed,
+            &format!("{label} from_snapshot"),
+        );
+
+        let next = FrozenModel::freeze(make(seed + 2), max_len);
+        replica
+            .swap_snapshot(next.snapshot(), max_len, Precision::F32)
+            .expect("same layout");
+        assert_prepared_head_matches_model(&replica, &reference, seed, &format!("{label} swapped"));
+
+        for tier in [KernelTier::Packed, KernelTier::Simd] {
+            replica.set_tier(tier);
+            assert_prepared_head_matches_model(
+                &replica,
+                &reference,
+                seed,
+                &format!("{label} set_tier"),
+            );
+        }
+
+        for (precision, _) in PRECISION_GATES {
+            let quantized = FrozenModel::freeze_with_precision(make(seed + 3), max_len, precision);
+            assert_prepared_head_matches_model(&quantized, &reference, seed, precision.name());
+            replica
+                .swap_snapshot(quantized.snapshot(), max_len, precision)
+                .expect("same layout");
+            assert_prepared_head_matches_model(
+                &replica,
+                &reference,
+                seed,
+                &format!("{label} swapped to {}", precision.name()),
+            );
+        }
+    }
+}
+
+#[test]
+fn embsr_prepared_head_rows_equal_model_rows_bitwise() {
+    prepared_head_survives_rebuilds(
+        |seed| {
+            let mut cfg = EmbsrConfig::full(NUM_ITEMS, NUM_OPS, DIM);
+            cfg.seed = seed;
+            Embsr::new(cfg)
+        },
+        "EMBSR",
+    );
+}
+
+#[test]
+fn gru4rec_prepared_head_rows_equal_model_rows_bitwise() {
+    prepared_head_survives_rebuilds(|seed| Gru4Rec::new(NUM_ITEMS, DIM, seed), "GRU4Rec");
+}
+
+#[test]
+fn narm_prepared_head_rows_equal_model_rows_bitwise() {
+    prepared_head_survives_rebuilds(|seed| Narm::new(NUM_ITEMS, DIM, 0.25, seed), "NARM");
 }
 
 // ---------------------------------------------------------------------------
