@@ -10,9 +10,7 @@
 //! so rendezvous sharding sees a realistic skewed key stream.
 //!
 //! Every phase drives a **fixed connection pool** and pipelines over it
-//! with the protocol-v2 multiplexed client (the pre-v2 generator's
-//! one-request-per-connection shape survives only as the depth-1 arm of
-//! the multiplexing A/B). The phases:
+//! with the multiplexed client. The phases:
 //!
 //! 1. `calibrate` — closed-loop burst that measures the deployment's
 //!    capacity (sessions/s) for the phases below;
@@ -21,8 +19,8 @@
 //!      request-id multiplexing buys over serial request/response;
 //! 2. `steady` — open loop at ~0.5× capacity: everything should complete,
 //!    with the client-observed latency histogram feeding the SLO gate;
-//! 3. `overload` — open loop at ~2× capacity against a small admission
-//!    cap: the server must refuse the excess with typed `Overloaded`
+//! 3. `overload` — open loop at ~2× capacity against a small engine
+//!    queue cap: the server must refuse the excess with typed `Overloaded`
 //!    responses (client- and server-side rejection counts are reconciled
 //!    one-for-one; anything else is a silent drop);
 //! 4. `repr-cache A/B` — a repeat-heavy Zipfian stream (tiny user
@@ -289,16 +287,15 @@ fn main() {
     let cores = (replicas * workers) as f64;
     let cfg = ServerConfig {
         replicas,
-        dispatchers: 2,
         engine: EngineConfig {
             workers,
             max_batch: 32,
             flush_deadline_us: 300,
+            // Small on purpose: the overload phase must hit the cap with a
+            // bounded client fleet.
+            queue_cap: 4,
             ..EngineConfig::default()
         },
-        // Small on purpose: the overload phase must hit the cap with a
-        // bounded client fleet.
-        admission_cap: 4,
         ..ServerConfig::default()
     };
 
@@ -328,8 +325,8 @@ fn main() {
 
     // --- phase 1b: multiplexing A/B on the same deployment ---------------
     // Two fixed connections either way; only the per-connection pipeline
-    // depth changes. The v1 generator's one-request-per-connection shape
-    // is the depth-1 arm, so the ratio is exactly what protocol v2 buys.
+    // depth changes, so the ratio is exactly what multiplexing buys over
+    // serial request/response.
     let pipeline_n = calibrate_n;
     let thr_serial = closed_loop(&server, 2, 1, pipeline_n, 1, universe, vocab, args.seed + 7);
     let thr_deep = closed_loop(&server, 2, 8, pipeline_n, 1, universe, vocab, args.seed + 7);
@@ -438,7 +435,6 @@ fn main() {
             move || Embsr::new(factory.clone()),
             ServerConfig {
                 replicas,
-                dispatchers: 2,
                 engine: EngineConfig {
                     workers,
                     max_batch: 32,

@@ -239,9 +239,7 @@ fn main() {
     let batch_p50 = embsr_obs::metrics::histogram(METRIC_BATCH_SESSIONS).quantile(0.5);
     let queue_depth = embsr_obs::metrics::histogram(METRIC_QUEUE_DEPTH);
     let depth_max = queue_depth.max().unwrap_or(0);
-    // Quantiles come back as log-bucket upper bounds, which can exceed the
-    // exact maximum; clamp so the gauge is never self-contradictory.
-    let depth_p95 = queue_depth.quantile(0.95).min(depth_max as f64);
+    let depth_p95 = queue_depth.quantile(0.95);
     println!(
         "  engine request latency: p50 {p50_us:.0}us · p95 {p95_us:.0}us · p99 {p99_us:.0}us · \
          median batch occupancy {batch_p50:.0}"

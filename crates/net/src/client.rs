@@ -1,8 +1,8 @@
 //! The networked client: pipelined RPC over one multiplexed connection,
-//! with typed errors, overload retry, and a v1 fallback for old peers.
+//! with typed errors and overload retry.
 //!
-//! A [`NetClient`] owns one TCP connection. Under protocol v2 the
-//! connection is **multiplexed**: [`NetClient::submit_score`] /
+//! A [`NetClient`] owns one TCP connection, and the connection is
+//! **multiplexed**: [`NetClient::submit_score`] /
 //! [`NetClient::submit_top_k`] write a request frame and return a
 //! [`Pending`] handle immediately, a dedicated reader thread demultiplexes
 //! response frames by request id, and any number of requests ride the
@@ -11,14 +11,10 @@
 //! `submit(..).wait()`, so existing call sites compile unchanged.
 //!
 //! [`NetClient::connect`] opens with a `Hello` handshake announcing the
-//! highest protocol version the client speaks. Peers that predate v2
-//! reject the handshake (bad version or kind) and close the connection;
-//! the client then reconnects and falls back to the serial
-//! request/response v1 protocol on a fresh socket — same API, one request
-//! at a time, no control plane. [`NetClient::connect_v1`] pins that mode
-//! explicitly (the protocol-compat tests use it).
+//! highest protocol version the client speaks; a peer that refuses it
+//! fails the connect with its typed error.
 //!
-//! Protocol v2 also carries the snapshot control plane:
+//! The connection also carries the snapshot control plane:
 //! [`NetClient::load_snapshot`] stages an `EMBSRSNP` blob under a version,
 //! [`NetClient::activate`] flips scoring to it with zero downtime, and
 //! [`NetClient::status`] reports per-replica active/staged versions and
@@ -45,11 +41,10 @@ use std::time::Duration;
 use embsr_obs::trace::{self, TraceSpan};
 use embsr_serve::{ScoreBatch, ScoreResponse, SubmitOptions, TopK, TopKResponse};
 
-use crate::frame::{self, Frame, FrameError, FrameKind, VERSION, VERSION_V1};
+use crate::frame::{self, Frame, FrameError, FrameKind, VERSION};
 use crate::wire::{self, ControlReply, ControlRequest, NetError, Request, Response, ServerStatus};
 
-/// How long the client waits for the `HelloAck` before concluding the peer
-/// does not speak protocol v2.
+/// How long [`NetClient::connect`] waits for the peer's `HelloAck`.
 const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Exponential backoff for overload retry.
@@ -85,12 +80,10 @@ impl RetryPolicy {
 
 /// State shared between caller threads and the reader thread.
 struct Shared {
-    /// Read side (and shutdown handle); only the reader thread — or, in v1
-    /// mode, the caller holding `write` — reads from it.
+    /// Read side (and shutdown handle); only the reader thread reads it.
     stream: TcpStream,
     /// Write side: frame writes are serialized so pipelined requests never
-    /// interleave mid-frame. In v1 mode the guard covers the whole
-    /// write+read exchange.
+    /// interleave mid-frame.
     write: Mutex<TcpStream>,
     /// In-flight requests awaiting their response frame, by request id.
     pending: Mutex<HashMap<u64, mpsc::Sender<Result<Frame, NetError>>>>,
@@ -99,8 +92,7 @@ struct Shared {
     next_id: AtomicU64,
     overloaded_seen: AtomicU64,
     retries: AtomicU64,
-    /// Negotiated protocol version: [`VERSION`] normally, [`VERSION_V1`]
-    /// when the peer predates the `Hello` handshake.
+    /// Protocol version the handshake agreed on.
     proto_version: u8,
 }
 
@@ -245,15 +237,17 @@ fn hello(stream: &TcpStream) -> Result<u8, NetError> {
     });
     let mut writer = stream;
     frame::write_frame(&mut writer, &Frame::new(kind, 0, payload))?;
-    // Bound the wait: a v1 peer may close instead of answering, but a hung
-    // one must not wedge connect forever.
+    // Bound the wait: a hung peer must not wedge connect forever.
     let _ = stream.set_read_timeout(Some(HELLO_TIMEOUT));
     let mut reader = stream;
     let resp = frame::read_frame(&mut reader);
     let _ = stream.set_read_timeout(None);
     let resp = resp?;
     match wire::decode_response_frame(resp.kind, &resp.payload)? {
-        Response::HelloAck { version } => Ok(version),
+        Response::HelloAck { version } if version == VERSION => Ok(version),
+        Response::HelloAck { version } => Err(NetError::Wire(format!(
+            "peer pinned protocol version {version}, this client speaks {VERSION}"
+        ))),
         Response::Error(err) => Err(err),
         other => Err(NetError::Wire(format!(
             "expected a hello ack, got {other:?}"
@@ -262,52 +256,14 @@ fn hello(stream: &TcpStream) -> Result<u8, NetError> {
 }
 
 impl NetClient {
-    /// Connects to a server and negotiates the protocol: a `Hello`
-    /// announcing [`VERSION`] opens the connection; peers that answer with
-    /// a `HelloAck` get the multiplexed v2 path, peers that reject it (old
-    /// servers close the connection on the unknown version) get a fresh
-    /// reconnect in serial v1 mode. Blocking reads; requests have no
-    /// client-side timeout — the server's deadline machinery bounds them.
+    /// Connects to a server and opens the connection with a `Hello`
+    /// announcing [`VERSION`]; a peer that refuses it fails the connect
+    /// with its typed error. Blocking reads; requests have no client-side
+    /// timeout — the server's deadline machinery bounds them.
     pub fn connect(addr: SocketAddr) -> Result<NetClient, NetError> {
         let _span = embsr_obs::span("embsr_net", "client_connect");
         let stream = tcp_connect(addr)?;
-        match hello(&stream) {
-            Ok(version) if version >= 2 => NetClient::multiplexed(stream, version),
-            // The peer predates protocol v2 (it errored, closed, or pinned
-            // version 1): reconnect clean and speak serial v1.
-            Ok(_) | Err(_) => {
-                drop(stream);
-                NetClient::connect_v1(addr)
-            }
-        }
-    }
-
-    /// Connects pinned to protocol v1: serial request/response, no
-    /// handshake frame ever sent. What [`NetClient::connect`] falls back
-    /// to; exposed so the compatibility tests (and old-style load tools)
-    /// can exercise the v1 path against a current server deliberately.
-    pub fn connect_v1(addr: SocketAddr) -> Result<NetClient, NetError> {
-        let _span = embsr_obs::span("embsr_net", "client_connect_v1");
-        let stream = tcp_connect(addr)?;
-        let write = stream
-            .try_clone()
-            .map_err(|e| NetError::Unavailable(format!("socket clone failed: {e}")))?;
-        Ok(NetClient {
-            shared: Arc::new(Shared {
-                stream,
-                write: Mutex::new(write),
-                pending: Mutex::new(HashMap::new()),
-                dead: Mutex::new(None),
-                next_id: AtomicU64::new(1),
-                overloaded_seen: AtomicU64::new(0),
-                retries: AtomicU64::new(0),
-                proto_version: VERSION_V1,
-            }),
-            reader: None,
-        })
-    }
-
-    fn multiplexed(stream: TcpStream, version: u8) -> Result<NetClient, NetError> {
+        let version = hello(&stream)?;
         let write = stream
             .try_clone()
             .map_err(|e| NetError::Unavailable(format!("socket clone failed: {e}")))?;
@@ -332,16 +288,14 @@ impl NetClient {
         })
     }
 
-    /// The protocol version this connection negotiated ([`VERSION`] or
-    /// [`VERSION_V1`]).
+    /// The protocol version this connection negotiated.
     pub fn proto_version(&self) -> u8 {
         // Fixed at connect; instrumented callers snapshot it alongside
         // `metrics::` counters.
         self.shared.proto_version
     }
 
-    /// Requests currently awaiting a response on this connection. Always 0
-    /// in v1 mode (submits there complete eagerly).
+    /// Requests currently awaiting a response on this connection.
     pub fn in_flight(&self) -> usize {
         // Reading a plain map size; instrumented callers take it alongside
         // `metrics::` snapshots.
@@ -365,26 +319,11 @@ impl NetClient {
     }
 
     /// The submit half of the pipelined path: registers the request id,
-    /// writes the frame, and hands back a [`Pending`]. In v1 mode the
-    /// whole exchange runs eagerly (serialized on the write lock) and the
-    /// `Pending` comes back already resolved.
+    /// writes the frame, and hands back a [`Pending`].
     fn submit<T, F>(&self, kind: FrameKind, payload: Vec<u8>, span: TraceSpan, decode: F) -> Pending<T>
     where
         F: FnOnce(Frame) -> Result<T, NetError> + Send + 'static,
     {
-        if self.shared.proto_version < 2 {
-            let result = self.rpc_v1(kind, payload).and_then(|frame| {
-                if frame.kind == FrameKind::ErrorResponse {
-                    return Err(note_overload(
-                        &self.shared,
-                        wire::decode_error(&frame.payload),
-                    ));
-                }
-                let _decode = trace::child(span.ctx(), "decode_response");
-                decode(frame)
-            });
-            return Pending::ready(result);
-        }
         if let Some(err) = lock(&self.shared.dead).clone() {
             return Pending::ready(Err(err));
         }
@@ -408,25 +347,6 @@ impl NetClient {
                 span,
             },
         }
-    }
-
-    /// One serial v1 exchange: the write lock covers write + read, so
-    /// concurrent callers take turns on the connection.
-    fn rpc_v1(&self, kind: FrameKind, payload: Vec<u8>) -> Result<Frame, NetError> {
-        let mut writer = lock(&self.shared.write);
-        // ordering: Relaxed — ids only need uniqueness, not ordering.
-        let request_id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-        let req = Frame::versioned(VERSION_V1, kind, request_id, payload);
-        frame::write_frame(&mut *writer, &req)?;
-        let mut reader = &self.shared.stream;
-        let resp = frame::read_frame(&mut reader)?;
-        if resp.request_id != request_id {
-            return Err(NetError::Wire(format!(
-                "response for request {} while awaiting {}",
-                resp.request_id, request_id
-            )));
-        }
-        Ok(resp)
     }
 
     /// Submits a full-vocabulary scoring request and returns immediately;
@@ -481,14 +401,8 @@ impl NetClient {
         self.submit_top_k(req, opts).wait()
     }
 
-    /// One control-plane exchange (protocol v2 only — v1 peers have no
-    /// control plane and fail fast with `Unavailable`).
+    /// One control-plane exchange.
     fn control(&self, cmd: ControlRequest) -> Result<ControlReply, NetError> {
-        if self.shared.proto_version < 2 {
-            return Err(NetError::Unavailable(
-                "protocol v1 peer has no control plane".into(),
-            ));
-        }
         // Control exchanges carry no wire-borne TraceCtx (the server's
         // work is operator-plane, not per-request), so they trace under
         // their own root name and never claim a nested `server_request`.

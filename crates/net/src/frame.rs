@@ -5,19 +5,18 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic        "EMBN" (0x45 0x4D 0x42 0x4E)
-//! 4       1     version      protocol version, 1 or 2
+//! 4       1     version      protocol version (2)
 //! 5       1     kind         FrameKind discriminant
 //! 6       8     request id   u64, little-endian; responses echo it
 //! 14      4     payload len  u32, little-endian, <= MAX_PAYLOAD
 //! 18      len   payload      UTF-8 JSON (see `wire`)
 //! ```
 //!
-//! Version 1 is the original one-request-per-connection protocol (kinds
-//! 1–5). Version 2 keeps the header layout and all v1 payload schemas
-//! bit-for-bit, and adds the multiplexing handshake (`Hello`/`HelloAck`)
-//! and the control plane (`Control`/`ControlReply`). A decoder for either
-//! version reads the other's score/top-k frames unchanged; peers negotiate
-//! the connection version with a `Hello` frame (see `client`).
+//! One protocol version is spoken: [`VERSION`], with multiplexed
+//! connections (`Hello`/`HelloAck` opens them) and the control plane
+//! (`Control`/`ControlReply`). A header carrying any other version is
+//! refused with [`FrameError::BadVersion`]; the version byte and the
+//! handshake stay so a later version can still be negotiated.
 //!
 //! The codec is deliberately paranoid: every malformed input maps to a
 //! typed [`FrameError`] — bad magic, unknown version or kind, oversized
@@ -37,9 +36,7 @@ use std::io::{self, Read, Write};
 
 /// Leading bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"EMBN";
-/// The original protocol version (blocking, one request in flight).
-pub const VERSION_V1: u8 = 1;
-/// Current protocol version: multiplexed connections + control plane.
+/// The protocol version: multiplexed connections + control plane.
 pub const VERSION: u8 = 2;
 /// Upper bound on the payload of one frame (64 MiB). A length field above
 /// this is rejected before any allocation, so a hostile header cannot OOM
@@ -64,14 +61,14 @@ pub enum FrameKind {
     TopKResponse = 4,
     /// Server → client: a typed error (see `wire::decode_error`).
     ErrorResponse = 5,
-    /// Client → server (v2): version negotiation opener.
+    /// Client → server: version negotiation opener.
     Hello = 6,
-    /// Server → client (v2): negotiation answer.
+    /// Server → client: negotiation answer.
     HelloAck = 7,
-    /// Client → server (v2): a control-plane command
+    /// Client → server: a control-plane command
     /// (`LoadSnapshot`/`Activate`/`Status`).
     Control = 8,
-    /// Server → client (v2): the control-plane answer.
+    /// Server → client: the control-plane answer.
     ControlReply = 9,
 }
 
@@ -96,9 +93,8 @@ impl FrameKind {
 /// One decoded frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Frame {
-    /// Protocol version the frame was encoded under. Responses echo the
-    /// version of the request they answer, so a v1 peer never sees a v2
-    /// header byte.
+    /// Protocol version of the header; [`VERSION`] on every frame that
+    /// encodes or decodes.
     pub version: u8,
     pub kind: FrameKind,
     /// Correlates responses with requests on a connection; the server
@@ -113,16 +109,6 @@ impl Frame {
     pub fn new(kind: FrameKind, request_id: u64, payload: Vec<u8>) -> Frame {
         Frame {
             version: VERSION,
-            kind,
-            request_id,
-            payload,
-        }
-    }
-
-    /// A frame at an explicit protocol version (used to answer v1 peers).
-    pub fn versioned(version: u8, kind: FrameKind, request_id: u64, payload: Vec<u8>) -> Frame {
-        Frame {
-            version,
             kind,
             request_id,
             payload,
@@ -183,7 +169,7 @@ pub fn encode(frame: &Frame) -> Result<Vec<u8>, FrameError> {
             max: MAX_PAYLOAD,
         });
     }
-    if frame.version < VERSION_V1 || frame.version > VERSION {
+    if frame.version != VERSION {
         return Err(FrameError::BadVersion(frame.version));
     }
     let mut out = Vec::with_capacity(HEADER_LEN + len);
@@ -268,7 +254,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
         return Err(FrameError::BadMagic(magic));
     }
     let version = header[4];
-    if !(VERSION_V1..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(FrameError::BadVersion(version));
     }
     let kind = FrameKind::from_u8(header[5]).ok_or(FrameError::BadKind(header[5]))?;

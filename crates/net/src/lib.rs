@@ -23,24 +23,25 @@
 //!   minimal-movement under replica death.
 //! * [`Server`] — accept loop → multiplexed per-connection handlers
 //!   (reader + request-worker pool; out-of-order completion by request id)
-//!   → router → per-replica bounded queues → dispatcher threads →
-//!   [`serve`] (embsr_serve::serve) engines, one frozen replica each.
-//!   Ships the protocol-v2 control plane (zero-downtime snapshot
-//!   staging/activation + status), fault injection
-//!   ([`Server::kill_replica`], [`Server::set_replica_delay_us`]) and
-//!   exact request accounting ([`Server::stats`]).
+//!   → session shard → each replica's [`serve`](embsr_serve::serve)
+//!   engine queue, one frozen replica each; the engine's queue is the only
+//!   one, so its admission cap and deadline shedding are the server's.
+//!   Ships the control plane (zero-downtime snapshot staging/activation +
+//!   status), fault injection ([`Server::kill_replica`],
+//!   [`Server::set_replica_delay_us`]) and exact request accounting
+//!   ([`Server::stats`]).
 //! * [`NetClient`] — pipelined client: [`NetClient::submit_score`]
 //!   returns a [`Pending`] immediately and a reader thread demultiplexes
 //!   responses, so one connection carries many requests in flight;
 //!   blocking wrappers ([`NetClient::score`], [`NetClient::top_k`],
 //!   [`NetClient::score_with_retry`] with exponential overload backoff)
-//!   keep the old call shape. Version-negotiated: v1 peers fall back to
-//!   the serial protocol transparently.
+//!   keep the old call shape. One protocol version, opened by a `Hello`
+//!   handshake that a later version can negotiate through.
 //!
 //! The crate's correctness story is its test battery: protocol property
 //! tests (`tests/protocol.rs`), fault injection (`tests/faults.rs`),
-//! admission accounting (`tests/admission.rs`), multiplexing and
-//! compatibility (`tests/multiplex.rs`), hot-swap under load
+//! admission accounting (`tests/admission.rs`), multiplexing and the
+//! handshake (`tests/multiplex.rs`), hot-swap under load
 //! (`tests/hotswap.rs`), and the workspace-level
 //! `tests/net_equivalence.rs`, which pins networked scores to the
 //! in-process engine at `f32::to_bits` equality across multiple replicas.
@@ -53,9 +54,9 @@ mod client;
 mod server;
 
 pub use client::{NetClient, Pending, RetryPolicy};
-pub use frame::{Frame, FrameError, FrameKind, VERSION, VERSION_V1};
+pub use frame::{Frame, FrameError, FrameKind, VERSION};
 pub use server::{
-    Server, ServerConfig, ServerStats, METRIC_NET_CONTROL, METRIC_NET_DEADLINE_EXPIRED,
-    METRIC_NET_LATENCY_US, METRIC_NET_REJECTED, METRIC_NET_REQUESTS, METRIC_NET_REROUTED,
+    Server, ServerConfig, ServerStats, METRIC_NET_CONTROL, METRIC_NET_LATENCY_US,
+    METRIC_NET_REJECTED, METRIC_NET_REQUESTS, METRIC_NET_REROUTED,
 };
 pub use wire::{ControlReply, ControlRequest, NetError, Request, Response, ServerStatus};

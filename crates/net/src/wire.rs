@@ -72,6 +72,7 @@ impl From<ServeError> for NetError {
         match e {
             ServeError::Overloaded { queued, cap } => NetError::Overloaded { queued, cap },
             ServeError::DeadlineExpired { waited_us } => NetError::DeadlineExpired { waited_us },
+            ServeError::Closed => NetError::Unavailable("replica engine closed".into()),
         }
     }
 }
@@ -249,8 +250,7 @@ pub fn decode_request(payload: &[u8], top_k: bool) -> Result<RequestEnvelope, Ne
 // ---------------------------------------------------------------------------
 
 /// Encodes a [`ScoreResponse`] payload: `{"scores": [[...], ...],
-/// "model_version": N}`. v1 decoders ignore the unknown `model_version`
-/// key, so the tag is safe to send to old peers.
+/// "model_version": N}`.
 pub fn encode_score_response(resp: &ScoreResponse) -> Vec<u8> {
     JsonValue::object(vec![
         (
@@ -291,7 +291,7 @@ pub fn decode_score_response(payload: &[u8]) -> Result<ScoreResponse, NetError> 
         }
         scores.push(out);
     }
-    // Absent on v1 payloads: version tagging arrived with protocol v2.
+    // An untagged payload decodes with tag 0 ("scorer predates tagging").
     let model_version = match v.get("model_version") {
         Some(mv) => non_negative_int(mv, "model_version")?,
         None => 0,
@@ -367,7 +367,7 @@ pub fn decode_top_k_response(payload: &[u8]) -> Result<TopKResponse, NetError> {
         }
         items.push(out);
     }
-    // Absent on v1 payloads: version tagging arrived with protocol v2.
+    // An untagged payload decodes with tag 0 ("scorer predates tagging").
     let model_version = match v.get("model_version") {
         Some(mv) => non_negative_int(mv, "model_version")?,
         None => 0,
@@ -485,13 +485,12 @@ fn hex_decode(s: &str) -> Result<Vec<u8>, NetError> {
 }
 
 // ---------------------------------------------------------------------------
-// The unified, versioned request/response surface (protocol v2)
+// The unified request/response surface
 // ---------------------------------------------------------------------------
 
 /// Every client → server message, as one typed enum. `Score`/`TopK`
-/// payloads are byte-identical to their v1 forms (the encoders delegate to
-/// the per-type functions above); `Hello` and `Control` are new in
-/// protocol v2.
+/// payloads are the per-type forms above (the encoders delegate to
+/// them).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
     Score {
@@ -628,9 +627,7 @@ pub fn encode_request(req: &Request) -> (FrameKind, Vec<u8>) {
     }
 }
 
-/// Decodes any request-direction frame into a [`Request`]. v1 peers only
-/// ever produce the `Score`/`TopK` arms; their payload schemas are
-/// unchanged, which the protocol tests pin.
+/// Decodes any request-direction frame into a [`Request`].
 pub fn decode_request_frame(kind: FrameKind, payload: &[u8]) -> Result<Request, NetError> {
     match kind {
         FrameKind::ScoreRequest => {

@@ -1,7 +1,8 @@
-//! Admission-control behavior under saturation: bounded queues refuse
-//! shedding work with typed `Overloaded` errors (never silent drops), the
-//! client- and server-side rejection accounting reconciles exactly, and
-//! retry-with-backoff recovers once load subsides.
+//! Admission-control behavior under saturation: bounded engine queues
+//! refuse shedding work with typed `Overloaded` errors (never silent
+//! drops), the client- and server-side rejection accounting reconciles
+//! exactly, retry-with-backoff recovers once load subsides, and the control
+//! plane still answers promptly while the data plane is saturated.
 
 mod common;
 
@@ -10,27 +11,28 @@ use std::time::Duration;
 
 use common::{guard, sess, session_pool, ToyModel};
 use embsr_net::{NetClient, NetError, RetryPolicy, Server, ServerConfig};
+use embsr_obs::Stopwatch;
 use embsr_serve::{EngineConfig, FrozenModel, ScoreBatch, SubmitOptions};
 
 const NUM_ITEMS: usize = 16;
 
-/// A deliberately tiny server: one replica, one dispatcher, a one-item
-/// router queue — so saturation is deterministic, not statistical.
-fn tiny_server(seed: u64, admission_cap: usize) -> Server {
+/// A deliberately tiny server: one replica whose one worker scores one
+/// session per batch, in front of a `queue_cap`-session engine queue — so
+/// saturation is deterministic, not statistical.
+fn tiny_server(seed: u64, queue_cap: usize) -> Server {
     let frozen = FrozenModel::freeze(ToyModel::new(NUM_ITEMS, seed), 16);
     Server::start(
         &frozen,
         move || ToyModel::new(NUM_ITEMS, seed),
         ServerConfig {
             replicas: 1,
-            dispatchers: 1,
             engine: EngineConfig {
                 workers: 1,
-                max_batch: 8,
+                max_batch: 1,
                 flush_deadline_us: 100,
+                queue_cap,
                 ..EngineConfig::default()
             },
-            admission_cap,
             ..ServerConfig::default()
         },
     )
@@ -41,8 +43,8 @@ fn tiny_server(seed: u64, admission_cap: usize) -> Server {
 fn saturation_yields_overloaded_never_silent_drops() {
     let _g = guard();
     let server = tiny_server(3, 1);
-    // Every dispatched item crawls, so the one-slot queue stays full while
-    // the shedding clients hammer it.
+    // Every scored batch crawls, so the one-slot queue stays full while the
+    // shedding clients hammer it.
     server.set_replica_delay_us(0, 30_000);
 
     let sessions = session_pool(32, NUM_ITEMS as u32, 9);
@@ -142,8 +144,8 @@ fn client_observed_rejections_match_server_counters_exactly() {
 fn backoff_retry_succeeds_once_load_subsides() {
     let _g = guard();
     let server = tiny_server(7, 1);
-    // Phase 1 — build deterministic saturation: the dispatcher is pinned on
-    // a 200ms item (A) and the one-slot queue holds another (B).
+    // Phase 1 — build deterministic saturation: the worker is pinned on a
+    // 200ms batch (A) and the one-slot queue holds another (B).
     server.set_replica_delay_us(0, 200_000);
     let addr = server.addr();
 
@@ -151,7 +153,7 @@ fn backoff_retry_succeeds_once_load_subsides() {
         for blocker in 0..2u64 {
             scope.spawn(move || {
                 let client = NetClient::connect(addr).expect("connect");
-                // Non-shedding: these occupy the dispatcher + queue slot.
+                // Non-shedding: these occupy the worker + queue slot.
                 let resp = client.score(
                     &ScoreBatch {
                         sessions: vec![sess(blocker, &[1, 2])],
@@ -161,7 +163,7 @@ fn backoff_retry_succeeds_once_load_subsides() {
                 assert!(resp.is_ok(), "blockers eventually complete: {resp:?}");
             });
         }
-        // Let A reach the dispatcher and B the queue before contending.
+        // Let A reach the worker and B the queue before contending.
         std::thread::sleep(Duration::from_millis(60));
 
         // Phase 2 — a shedding client retries with backoff. Its first
@@ -197,5 +199,49 @@ fn backoff_retry_succeeds_once_load_subsides() {
     let stats = server.stats();
     assert!(stats.rejected >= 1, "server accounted the refusals");
     assert_eq!(stats.completed, 3, "both blockers and the retrier completed");
+    server.shutdown();
+}
+
+#[test]
+fn control_answers_promptly_while_the_data_plane_is_saturated() {
+    let _g = guard();
+    let server = tiny_server(11, 1);
+    // The lone worker takes 200ms per session, so three blocking requests
+    // keep it busy for 600ms: one scoring, two queued behind it.
+    server.set_replica_delay_us(0, 200_000);
+    let addr = server.addr();
+    let control = NetClient::connect(addr).expect("control connect");
+
+    std::thread::scope(|scope| {
+        for blocker in 0..3u64 {
+            scope.spawn(move || {
+                let client = NetClient::connect(addr).expect("connect");
+                let resp = client.score(
+                    &ScoreBatch {
+                        sessions: vec![sess(blocker, &[1, 2])],
+                    },
+                    SubmitOptions::default(),
+                );
+                assert!(resp.is_ok(), "blockers eventually complete: {resp:?}");
+            });
+        }
+        // Let the blockers reach the engine before probing.
+        std::thread::sleep(Duration::from_millis(50));
+
+        let watch = Stopwatch::start();
+        let status = control.status().expect("status under saturation");
+        let waited_us = watch.elapsed_us();
+        assert_eq!(status.replicas.len(), 1);
+        assert_eq!(status.replicas[0].active_version, 1);
+        assert!(
+            waited_us < 50_000,
+            "status waited {waited_us}us behind data-plane work"
+        );
+        server.set_replica_delay_us(0, 0);
+    });
+
+    let stats = server.stats();
+    assert_eq!(stats.completed, 4, "three blockers and the status probe");
+    assert_eq!(stats.control, 1);
     server.shutdown();
 }

@@ -8,7 +8,7 @@
 //!   (re-routing never mixes up slots or serves stale weights), the error
 //!   responses are bounded and typed, and the killed replica's thread is
 //!   joined.
-//! * **Slow replica** — an injected dispatch latency above the request
+//! * **Slow replica** — an injected per-batch latency above the request
 //!   deadline produces timely `DeadlineExpired` errors, not hangs.
 //! * **Shutdown** — dropping the server mid-traffic yields clean typed
 //!   connection errors on the client and leaks no threads.
@@ -34,7 +34,6 @@ fn start_server(replicas: usize, seed: u64) -> (Server, FrozenModel<ToyModel>) {
         move || ToyModel::new(NUM_ITEMS, seed),
         ServerConfig {
             replicas,
-            dispatchers: 2,
             engine: EngineConfig {
                 workers: 1,
                 max_batch: 16,
@@ -302,7 +301,7 @@ fn shutdown_joins_every_thread_no_leaks() {
         }
         server.shutdown();
     }
-    // Accept/replica/dispatcher/handler threads are all joined by
+    // Accept/replica/engine-worker/handler threads are all joined by
     // shutdown(); three full server lifecycles must leave the process at
     // its baseline thread count (small slack for the test runtime itself).
     let after = live_threads();
@@ -310,4 +309,27 @@ fn shutdown_joins_every_thread_no_leaks() {
         after <= before + 1,
         "thread leak: {before} before, {after} after three server lifecycles"
     );
+}
+
+#[test]
+fn replica_that_fails_to_build_fails_start_typed_without_leaking() {
+    let _g = guard();
+    let before = live_threads();
+    let frozen = FrozenModel::freeze(ToyModel::new(NUM_ITEMS, 3), 16);
+    // Every replica's model build panics before its engine can publish.
+    let started = Server::start(
+        &frozen,
+        || -> ToyModel { panic!("model build failed") },
+        ServerConfig {
+            replicas: 2,
+            ..ServerConfig::default()
+        },
+    );
+    match started {
+        Err(NetError::Unavailable(msg)) => assert!(msg.contains("failed to start"), "{msg}"),
+        Err(other) => panic!("expected Unavailable, got {other}"),
+        Ok(_) => panic!("a server whose replicas cannot start must not start"),
+    }
+    let after = live_threads();
+    assert!(after <= before + 1, "thread leak: {before} before, {after} after");
 }

@@ -39,7 +39,6 @@ fn start_server(replicas: usize, seed: u64, repr_cache: usize) -> (Server, Froze
         move || ToyModel::new(NUM_ITEMS, seed),
         ServerConfig {
             replicas,
-            dispatchers: 2,
             engine: EngineConfig {
                 workers: 1,
                 max_batch: 16,

@@ -1,26 +1,27 @@
-//! Protocol-v2 connection multiplexing: many requests in flight on one
-//! TCP connection, demultiplexed by request id.
+//! Connection multiplexing: many requests in flight on one TCP
+//! connection, demultiplexed by request id, behind a `Hello` handshake.
 //!
 //! The invariants under test:
 //!
 //! * **Depth** — a pipelined client sustains at least four requests in
-//!   flight on a single connection (the acceptance floor for the v2
-//!   transport), and the answers stay bitwise-correct even when waited
-//!   out of submission order.
-//! * **Equivalence** — pipelined v2 scores are bitwise-identical to the
-//!   serial v1 protocol and to the in-process frozen model.
-//! * **Compatibility** — a hand-rolled v1 peer (no Hello handshake, v1
-//!   frame headers) still gets v1-framed, decodable responses from the
-//!   multiplexed server.
+//!   flight on a single connection (the acceptance floor for the
+//!   multiplexed transport), and the answers stay bitwise-correct even
+//!   when waited out of submission order.
+//! * **Equivalence** — pipelined scores are bitwise-identical to blocking
+//!   submit-then-wait scores and to the in-process frozen model.
+//! * **One protocol** — a frame of another protocol version gets an id-0
+//!   error frame and the connection closes; a `Hello` offering an older
+//!   version gets a typed `BadRequest`; and a client whose `Hello` is
+//!   refused fails its connect with that error instead of reconnecting.
 
 mod common;
 
 use std::io::Write as _;
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 
-use common::{guard, sess, session_pool, ToyModel};
-use embsr_net::frame::{self, Frame, FrameKind};
-use embsr_net::{wire, NetClient, Server, ServerConfig, VERSION, VERSION_V1};
+use common::{guard, session_pool, ToyModel};
+use embsr_net::frame::{self, Frame, FrameError, FrameKind};
+use embsr_net::{wire, NetClient, NetError, Request, Server, ServerConfig, VERSION};
 use embsr_obs::trace;
 use embsr_serve::{EngineConfig, FrozenModel, ScoreBatch, SubmitOptions, TopK};
 
@@ -33,7 +34,6 @@ fn start_server(replicas: usize, seed: u64) -> (Server, FrozenModel<ToyModel>) {
         move || ToyModel::new(NUM_ITEMS, seed),
         ServerConfig {
             replicas,
-            dispatchers: 2,
             engine: EngineConfig {
                 workers: 1,
                 max_batch: 16,
@@ -69,7 +69,7 @@ fn one_connection_sustains_four_in_flight_and_completes_out_of_order() {
         (0..6).map(|i| sessions[i * 2..i * 2 + 2].to_vec()).collect();
     let expected: Vec<Vec<Vec<f32>>> = batches.iter().map(|b| frozen.score_batch(b)).collect();
 
-    // Hold the lone replica's dispatch so submissions pile up in flight.
+    // Slow the lone replica so submissions pile up in flight.
     assert!(server.set_replica_delay_us(0, 20_000));
 
     let client = NetClient::connect(server.addr()).expect("connect");
@@ -105,7 +105,7 @@ fn one_connection_sustains_four_in_flight_and_completes_out_of_order() {
 }
 
 #[test]
-fn pipelined_v2_matches_serial_v1_and_direct_scores_bitwise() {
+fn pipelined_matches_blocking_and_direct_scores_bitwise() {
     let _g = guard();
     let (server, frozen) = start_server(2, 17);
     let sessions = session_pool(20, NUM_ITEMS as u32, 5);
@@ -114,13 +114,13 @@ fn pipelined_v2_matches_serial_v1_and_direct_scores_bitwise() {
         (0..5).map(|i| sessions[i * 4..i * 4 + 4].to_vec()).collect();
     let direct: Vec<Vec<Vec<f32>>> = batches.iter().map(|b| frozen.score_batch(b)).collect();
 
-    // Pipelined v2: submit everything, then wait.
-    let v2 = NetClient::connect(server.addr()).expect("v2 connect");
-    assert_eq!(v2.proto_version(), VERSION);
+    // Pipelined: submit everything, then wait.
+    let client = NetClient::connect(server.addr()).expect("connect");
+    assert_eq!(client.proto_version(), VERSION);
     let pendings: Vec<_> = batches
         .iter()
         .map(|b| {
-            v2.submit_score(
+            client.submit_score(
                 &ScoreBatch {
                     sessions: b.clone(),
                 },
@@ -128,61 +128,125 @@ fn pipelined_v2_matches_serial_v1_and_direct_scores_bitwise() {
             )
         })
         .collect();
-    let v2_scores: Vec<Vec<Vec<f32>>> = pendings
+    let pipelined: Vec<Vec<Vec<f32>>> = pendings
         .into_iter()
-        .map(|p| p.wait().expect("v2 scores").scores)
+        .map(|p| p.wait().expect("pipelined scores").scores)
         .collect();
 
-    // Serial v1: the compatibility client never pipelines.
-    let v1 = NetClient::connect_v1(server.addr()).expect("v1 connect");
-    assert_eq!(v1.proto_version(), VERSION_V1);
-    assert_eq!(v1.in_flight(), 0, "v1 mode is strictly serial");
+    // Blocking: each request submitted and waited out before the next.
+    let serial = NetClient::connect(server.addr()).expect("connect");
     for (i, b) in batches.iter().enumerate() {
-        let resp = v1
-            .score(
+        let resp = serial
+            .submit_score(
                 &ScoreBatch {
                     sessions: b.clone(),
                 },
                 SubmitOptions::default(),
             )
-            .expect("v1 scores");
-        assert_bitwise(&direct[i], &resp.scores, "v1 vs direct");
-        assert_bitwise(&v2_scores[i], &resp.scores, "v1 vs pipelined v2");
+            .wait()
+            .expect("blocking scores");
+        assert_eq!(serial.in_flight(), 0, "submit-then-wait holds nothing in flight");
+        assert_bitwise(&direct[i], &resp.scores, "blocking vs direct");
+        assert_bitwise(&pipelined[i], &resp.scores, "blocking vs pipelined");
     }
-    for (i, got) in v2_scores.iter().enumerate() {
-        assert_bitwise(&direct[i], got, "pipelined v2 vs direct");
+    for (i, got) in pipelined.iter().enumerate() {
+        assert_bitwise(&direct[i], got, "pipelined vs direct");
     }
     server.shutdown();
 }
 
 #[test]
-fn raw_v1_peer_without_hello_gets_v1_framed_responses() {
+fn frame_of_another_version_gets_an_id0_error_and_the_connection_closes() {
     let _g = guard();
-    let (server, frozen) = start_server(2, 31);
-    let batch = vec![sess(3, &[1, 4, 2]), sess(8, &[5])];
-    let expected = frozen.score_batch(&batch);
+    let (server, _frozen) = start_server(1, 31);
 
-    // A legacy peer: raw TCP, v1 frame headers, no Hello handshake.
+    // A peer speaking protocol version 1: a well-formed frame whose header
+    // carries version byte 1, sent without a handshake.
     let mut stream = TcpStream::connect(server.addr()).expect("tcp connect");
     let span = trace::root("net_request");
     let payload = wire::encode_score_request(
         &ScoreBatch {
-            sessions: batch.clone(),
+            sessions: session_pool(2, NUM_ITEMS as u32, 3),
         },
         SubmitOptions::default(),
         span.ctx(),
     );
-    let req = Frame::versioned(VERSION_V1, FrameKind::ScoreRequest, 77, payload);
-    frame::write_frame(&mut stream, &req).expect("write v1 frame");
+    let mut bytes = frame::encode(&Frame::new(FrameKind::ScoreRequest, 77, payload))
+        .expect("within cap");
+    bytes[4] = 1;
+    stream.write_all(&bytes).expect("write version-1 frame");
     stream.flush().expect("flush");
 
-    let resp = frame::read_frame(&mut stream).expect("read response frame");
-    assert_eq!(resp.version, VERSION_V1, "server echoes the peer's version");
-    assert_eq!(resp.kind, FrameKind::ScoreResponse);
-    assert_eq!(resp.request_id, 77, "response carries the request id");
-    let decoded = wire::decode_score_response(&resp.payload).expect("v1 payload decodes");
-    assert_bitwise(&expected, &decoded.scores, "raw v1 peer");
+    let resp = frame::read_frame(&mut stream).expect("error frame");
+    assert_eq!(resp.kind, FrameKind::ErrorResponse);
+    assert_eq!(resp.request_id, 0, "connection-level error");
+    // The wire carries non-load errors as `BadRequest` with their message.
+    match wire::decode_error(&resp.payload) {
+        NetError::BadRequest(msg) => {
+            assert!(msg.contains(&FrameError::BadVersion(1).to_string()), "{msg}");
+        }
+        other => panic!("expected the BadVersion refusal, got {other:?}"),
+    }
+    // Closed, or reset because the unread payload was still in flight; a
+    // connection left open would time out as `Idle` instead.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .expect("read timeout");
+    let after = frame::read_frame(&mut stream);
+    assert!(
+        matches!(after, Err(FrameError::Closed | FrameError::Io(..))),
+        "the server closes the connection, got {after:?}"
+    );
+    assert_eq!(server.stats().bad_requests, 1, "the violation is accounted");
     server.shutdown();
+}
+
+#[test]
+fn hello_offering_an_older_version_gets_bad_request() {
+    let _g = guard();
+    let (server, _frozen) = start_server(1, 33);
+    let mut stream = TcpStream::connect(server.addr()).expect("tcp connect");
+    let (kind, payload) = wire::encode_request(&Request::Hello { max_version: 1 });
+    frame::write_frame(&mut stream, &Frame::new(kind, 5, payload)).expect("write hello");
+
+    let resp = frame::read_frame(&mut stream).expect("hello answer");
+    assert_eq!(resp.kind, FrameKind::ErrorResponse);
+    assert_eq!(resp.request_id, 5, "the answer echoes the hello's id");
+    match wire::decode_error(&resp.payload) {
+        NetError::BadRequest(msg) => assert!(msg.contains("version 1"), "{msg}"),
+        other => panic!("expected BadRequest, got {other:?}"),
+    }
+    server.shutdown();
+}
+
+#[test]
+fn connect_to_a_peer_refusing_the_hello_fails_typed_without_reconnecting() {
+    // A peer that answers every Hello with a typed refusal.
+    let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let (done, connect_returned) = std::sync::mpsc::channel::<()>();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("first connection");
+        let hello = frame::read_frame(&mut stream).expect("hello frame");
+        assert_eq!(hello.kind, FrameKind::Hello);
+        let refusal = NetError::BadRequest("no thanks".into());
+        let resp = Frame::new(FrameKind::ErrorResponse, 0, wire::encode_error(&refusal));
+        frame::write_frame(&mut stream, &resp).expect("write refusal");
+        // A reconnect would have completed before `connect` returned, so
+        // once it has, any second connection sits in the accept backlog.
+        let _ = connect_returned.recv();
+        listener.set_nonblocking(true).expect("nonblocking");
+        std::iter::from_fn(|| listener.accept().ok()).count()
+    });
+
+    let outcome = NetClient::connect(addr);
+    let _ = done.send(());
+    match outcome {
+        Err(NetError::BadRequest(msg)) => assert!(msg.ends_with("no thanks"), "{msg}"),
+        Err(other) => panic!("expected the peer's BadRequest, got {other:?}"),
+        Ok(_) => panic!("a refused hello must fail the connect"),
+    }
+    assert_eq!(peer.join().expect("peer thread"), 0, "no reconnect attempt");
 }
 
 #[test]

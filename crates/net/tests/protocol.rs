@@ -10,7 +10,7 @@ use std::io::{self, Read};
 
 use embsr_net::frame::{
     encode, read_frame, write_frame, Frame, FrameError, FrameKind, HEADER_LEN, MAGIC, MAX_PAYLOAD,
-    VERSION, VERSION_V1,
+    VERSION,
 };
 
 /// Local SplitMix64 so the fuzz schedule is seeded and reproducible.
@@ -91,12 +91,9 @@ fn kinds() -> [FrameKind; 9] {
 fn random_frame(rng: &mut Rand, payload_len: usize) -> Frame {
     let all = kinds();
     let kind = all[rng.below(all.len() as u64) as usize];
-    // Both wire versions are live on real links (v1 peers never handshake),
-    // so the fuzz schedule exercises both headers.
-    let version = if rng.below(2) == 0 { VERSION_V1 } else { VERSION };
     let payload: Vec<u8> = (0..payload_len).map(|_| rng.next() as u8).collect();
     Frame {
-        version,
+        version: VERSION,
         kind,
         request_id: rng.next(),
         payload,
@@ -261,34 +258,24 @@ fn random_garbage_never_panics_the_decoder() {
 }
 
 #[test]
-fn v1_frames_round_trip_and_keep_their_version() {
-    // A v1 peer's frames carry version 1 in the header; the v2 codec must
-    // accept them unchanged and report which version it saw (the server
-    // echoes it on responses so v1 peers never see a v2 header).
-    for kind in kinds() {
-        let frame = Frame::versioned(VERSION_V1, kind, 42, b"payload".to_vec());
-        let bytes = encode(&frame).expect("within cap");
-        assert_eq!(bytes[4], VERSION_V1, "header carries the frame's version");
-        let mut t = Chunked::new(bytes, 11, 8);
-        let got = read_frame(&mut t).expect("v1 frame accepted");
-        assert_eq!(got, frame);
-        assert_eq!(got.version, VERSION_V1);
-    }
-}
-
-#[test]
 fn version_bounds_are_enforced_on_both_paths() {
-    // Encode refuses versions outside [VERSION_V1, VERSION]...
-    let below = Frame::versioned(0, FrameKind::ScoreRequest, 1, Vec::new());
-    assert_eq!(encode(&below), Err(FrameError::BadVersion(0)));
-    let above = Frame::versioned(VERSION + 1, FrameKind::ScoreRequest, 1, Vec::new());
-    assert_eq!(encode(&above), Err(FrameError::BadVersion(VERSION + 1)));
-    // ...and decode rejects a zero version byte on the wire.
+    // Encode refuses every version but VERSION...
+    let frame = |version| Frame {
+        version,
+        ..Frame::new(FrameKind::ScoreRequest, 1, Vec::new())
+    };
+    assert_eq!(encode(&frame(0)), Err(FrameError::BadVersion(0)));
+    assert_eq!(encode(&frame(1)), Err(FrameError::BadVersion(1)));
+    assert_eq!(encode(&frame(VERSION + 1)), Err(FrameError::BadVersion(VERSION + 1)));
+    // ...and decode rejects a zero version byte and the retired version 1
+    // on the wire.
     let good = encode(&Frame::new(FrameKind::ScoreRequest, 1, Vec::new())).expect("within cap");
-    let mut bytes = good;
-    bytes[4] = 0;
-    let mut t = Chunked::new(bytes, 21, 8);
-    assert_eq!(read_frame(&mut t), Err(FrameError::BadVersion(0)));
+    for version in [0u8, 1] {
+        let mut bytes = good.clone();
+        bytes[4] = version;
+        let mut t = Chunked::new(bytes, 21, 8);
+        assert_eq!(read_frame(&mut t), Err(FrameError::BadVersion(version)));
+    }
 }
 
 #[test]

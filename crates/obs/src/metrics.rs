@@ -172,7 +172,8 @@ impl Histogram {
     }
 
     /// The `q`-quantile (`0.5` = p50) as a bucket-midpoint estimate, exact
-    /// to within one sub-bucket (~12.5% relative). `NaN` when empty.
+    /// to within one sub-bucket (~12.5% relative) and clamped to the
+    /// recorded [min, max]. `NaN` when empty.
     pub fn quantile(&self, q: f64) -> f64 {
         let n = self.count();
         if n == 0 {
@@ -182,13 +183,22 @@ impl Histogram {
         let mut cum = 0u64;
         // ordering: Relaxed — bucket reads may interleave with writers;
         // quantiles are estimates with a documented error bound anyway.
-        for (idx, b) in self.buckets.iter().enumerate() {
-            cum += b.load(Ordering::Relaxed);
-            if cum >= rank {
-                return bucket_mid(idx);
-            }
+        let idx = self
+            .buckets
+            .iter()
+            .position(|b| {
+                cum += b.load(Ordering::Relaxed);
+                cum >= rank
+            })
+            .unwrap_or(BUCKETS - 1);
+        // A midpoint can fall outside the samples (five 8s land in the
+        // [8, 10) bucket, midpoint 9); the exact extremes bound every
+        // quantile. A record racing this read may not have published its
+        // min/max yet, so clamp only to a consistent range.
+        match (self.min(), self.max()) {
+            (Some(lo), Some(hi)) if lo <= hi => bucket_mid(idx).clamp(lo as f64, hi as f64),
+            _ => bucket_mid(idx),
         }
-        bucket_mid(BUCKETS - 1)
     }
 
     /// Fraction of recorded samples above `threshold` (`0.0` when empty),
@@ -398,6 +408,23 @@ mod tests {
         let rel = (h.quantile(0.0) - 42.0).abs() / 42.0;
         assert!(rel <= 0.125);
         assert_eq!(h.quantile(0.0), h.quantile(1.0));
+        // identical samples sit below their bucket's midpoint (9 for the
+        // [8, 10) bucket); quantiles stay inside the observed range
+        let h = Histogram::default();
+        for _ in 0..5 {
+            h.record(8);
+        }
+        for q in [0.0, 0.5, 0.95, 1.0] {
+            assert_eq!(h.quantile(q), 8.0, "q{q}");
+        }
+        let h = Histogram::default();
+        for v in [100u64, 103] {
+            h.record(v);
+        }
+        for q in [0.0, 0.5, 1.0] {
+            let got = h.quantile(q);
+            assert!((100.0..=103.0).contains(&got), "q{q} = {got} outside [100, 103]");
+        }
     }
 
     #[test]

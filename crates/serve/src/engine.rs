@@ -24,14 +24,15 @@
 //! batch.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use embsr_obs::trace::{self, TraceCtx};
 use embsr_obs::Stopwatch;
-use embsr_pool::{run_with_workers, AbortSignal};
+use embsr_pool::run_with_workers;
 use embsr_sessions::Session;
 use embsr_train::SessionModel;
 
@@ -112,9 +113,11 @@ pub struct SubmitOptions {
     pub shed: bool,
 }
 
-/// Why a fallible submit did not produce scores. Both variants are *load*
-/// conditions, not bugs: callers are expected to back off and retry
-/// (`Overloaded`) or give up on the stale request (`DeadlineExpired`).
+/// Why a fallible submit did not produce scores. The first two variants
+/// are *load* conditions, not bugs: callers are expected to back off and
+/// retry (`Overloaded`) or give up on the stale request
+/// (`DeadlineExpired`). `Closed` means this engine is gone; a caller with
+/// other engines routes elsewhere.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServeError {
     /// Admission control turned the request away: the queue already held
@@ -123,6 +126,9 @@ pub enum ServeError {
     /// The request waited `waited_us` in the queue, past its deadline, and
     /// was shed by the scoring worker without being scored.
     DeadlineExpired { waited_us: u64 },
+    /// The engine had shut down (or a scoring worker died) before the
+    /// request could be scored.
+    Closed,
 }
 
 impl std::fmt::Display for ServeError {
@@ -134,6 +140,7 @@ impl std::fmt::Display for ServeError {
             ServeError::DeadlineExpired { waited_us } => {
                 write!(f, "deadline expired after {waited_us}us in queue")
             }
+            ServeError::Closed => write!(f, "engine closed"),
         }
     }
 }
@@ -300,12 +307,17 @@ struct Job {
     reply: Sender<(usize, u64, Result<Vec<f32>, ServeError>)>,
 }
 
-/// Queue state shared between the client thread and the workers.
+/// Queue state shared between the engine's handles and its workers.
 struct Shared {
+    cfg: EngineConfig,
     queue: Mutex<VecDeque<Job>>,
     arrivals: Condvar,
-    /// Cleared on shutdown; workers drain the queue and exit.
+    /// Cleared when the engine closes: enqueues are refused from then on,
+    /// and workers drain the queue and exit.
     open: AtomicBool,
+    /// Fault injection: microseconds a worker sleeps after draining each
+    /// batch, before its deadline check ([`Client::set_delay_us`]).
+    delay_us: AtomicU64,
     /// Staged snapshot versions + the active flip (hot-swap control plane).
     bank: ModelBank,
     /// Session-repr cache, when [`EngineConfig::repr_cache`] > 0.
@@ -321,21 +333,76 @@ fn lock(shared: &Shared) -> MutexGuard<'_, VecDeque<Job>> {
 
 /// Handle for submitting requests to a running engine (see [`serve`]).
 ///
-/// Both calls block until every session of the request is scored; sessions
-/// from concurrent callers coalesce into shared micro-batches. Empty
-/// sessions carry no evidence to score and are answered inline with an
-/// empty row (no recommendations for [`Client::top_k`]) — they never reach
-/// a scoring worker, so a malformed request cannot take the engine down.
+/// The blocking calls return once every session of the request is
+/// scored; [`Client::enqueue`] splits that into enqueue and
+/// [`Ticket::wait`], so one caller can have requests queued on several
+/// engines at once. Sessions from concurrent callers coalesce into shared
+/// micro-batches. Empty sessions carry no evidence to score and are
+/// answered inline with an empty row (no recommendations for
+/// [`Client::top_k`]) — they never reach a scoring worker, so a malformed
+/// request cannot take the engine down.
+///
+/// The handle `serve` lends its master closure borrows the call;
+/// [`Client::detach`] returns an owned one that other threads may keep.
+/// Once the engine has closed, every enqueue fails with
+/// [`ServeError::Closed`].
+#[derive(Clone)]
 pub struct Client<'a> {
-    shared: &'a Shared,
-    signal: &'a AbortSignal,
-    cfg: EngineConfig,
+    shared: Arc<Shared>,
+    _serve: PhantomData<&'a ()>,
+}
+
+/// A request queued on an engine by [`Client::enqueue`].
+pub struct Ticket {
+    replies: Receiver<(usize, u64, Result<Vec<f32>, ServeError>)>,
+    /// Rows in the response: one per enqueued session, empty ones included.
+    rows: usize,
+    /// Sessions queued for scoring (the non-empty ones).
+    pending: usize,
+    /// Active version at enqueue; the tag when nothing was queued.
+    version: u64,
+    watch: Stopwatch,
+}
+
+impl Ticket {
+    /// Blocks until every queued session is scored. The first shed session
+    /// fails the request with its [`ServeError::DeadlineExpired`]; a
+    /// session lost with a dead worker fails it with [`ServeError::Closed`].
+    pub fn wait(self) -> Result<ScoreResponse, ServeError> {
+        let mut scores: Vec<Vec<f32>> = vec![Vec::new(); self.rows];
+        // Mixed-version batches can happen mid-swap; the response reports
+        // the newest contributing version.
+        let mut model_version = if self.pending == 0 { self.version } else { 0 };
+        for _ in 0..self.pending {
+            // Every queued job is either answered or dropped with its
+            // sender (a worker unwinding drops its batch and the queue), so
+            // this never outlives the engine.
+            match self.replies.recv() {
+                Ok((slot, version, Ok(row))) => {
+                    scores[slot] = row;
+                    model_version = model_version.max(version);
+                }
+                // Replies for the request's other sessions go to a dropped
+                // receiver, which workers tolerate.
+                Ok((_, _, Err(e))) => return Err(e),
+                Err(_) => return Err(ServeError::Closed),
+            }
+        }
+        if embsr_obs::metrics::enabled() {
+            embsr_obs::metrics::histogram(METRIC_REQUEST_LATENCY_US)
+                .record(self.watch.elapsed_us());
+        }
+        Ok(ScoreResponse {
+            scores,
+            model_version,
+        })
+    }
 }
 
 impl Client<'_> {
     /// Scores the full vocabulary for each session of the request.
     pub fn score(&self, req: ScoreBatch) -> ScoreResponse {
-        // Infallible by construction: no deadline, no shedding.
+        // Infallible while the engine runs: no deadline, no shedding.
         self.try_score(req, SubmitOptions::default())
             .unwrap_or_default()
     }
@@ -352,8 +419,7 @@ impl Client<'_> {
     /// [`Client::try_score`] with an explicit trace parent: when `parent`
     /// is a live [`TraceCtx`] the engine spans (`score_request` →
     /// `queue_wait`/`batch_assembly`/`scoring`) nest under it instead of
-    /// opening a fresh trace — this is how a network front end stitches
-    /// engine work into its own request trees.
+    /// opening a fresh trace.
     pub fn try_score_in(
         &self,
         req: ScoreBatch,
@@ -365,16 +431,12 @@ impl Client<'_> {
         } else {
             trace::child(parent, "score_request")
         };
-        let (scores, model_version) = self.submit(req.sessions, span.ctx(), opts)?;
-        Ok(ScoreResponse {
-            scores,
-            model_version,
-        })
+        self.enqueue(req.sessions, opts, span.ctx())?.wait()
     }
 
     /// Returns the `k` best items per session of the request.
     pub fn top_k(&self, req: TopK) -> TopKResponse {
-        // Infallible by construction: no deadline, no shedding.
+        // Infallible while the engine runs: no deadline, no shedding.
         self.try_top_k(req, SubmitOptions::default())
             .unwrap_or_default()
     }
@@ -384,9 +446,9 @@ impl Client<'_> {
     pub fn try_top_k(&self, req: TopK, opts: SubmitOptions) -> Result<TopKResponse, ServeError> {
         let root = trace::root("top_k_request");
         let ctx = root.ctx();
-        let (rows, model_version) = self.submit(req.sessions, ctx, opts)?;
+        let resp = self.enqueue(req.sessions, opts, ctx)?.wait()?;
         let selected_from = if ctx.is_none() { 0 } else { trace::now_us() };
-        let items = rows.iter().map(|row| top_k_of_row(row, req.k)).collect();
+        let items = resp.scores.iter().map(|row| top_k_of_row(row, req.k)).collect();
         if !ctx.is_none() {
             let selected_at = trace::now_us();
             // Close the request before emitting its last phase, so the
@@ -397,8 +459,98 @@ impl Client<'_> {
         }
         Ok(TopKResponse {
             items,
-            model_version,
+            model_version: resp.model_version,
         })
+    }
+
+    /// Queues the request's sessions for scoring and returns at once; the
+    /// [`Ticket`] waits for the rows. The worker-side spans (`queue_wait`,
+    /// `batch_assembly`, `scoring`) hang off `ctx`. Refused with
+    /// [`ServeError::Closed`] once the engine has closed, and with
+    /// [`ServeError::Overloaded`] when `opts.shed` meets a full queue.
+    pub fn enqueue(
+        &self,
+        sessions: Vec<Session>,
+        opts: SubmitOptions,
+        ctx: TraceCtx,
+    ) -> Result<Ticket, ServeError> {
+        let shared = &*self.shared;
+        let rows = sessions.len();
+        let watch = Stopwatch::start();
+        let tracing = !ctx.is_none() && trace::active();
+        let (reply, replies) = std::sync::mpsc::channel();
+        let mut pending = 0usize;
+        if rows > 0 {
+            let mut q = lock(shared);
+            // ordering: SeqCst — read under the queue lock, so a job either
+            // lands before the workers' final drain or is refused here;
+            // pairs with the store in `close`.
+            if !shared.open.load(Ordering::SeqCst) {
+                return Err(ServeError::Closed);
+            }
+            if opts.shed && q.len() >= shared.cfg.queue_cap {
+                let queued = q.len();
+                drop(q);
+                if embsr_obs::metrics::enabled() {
+                    embsr_obs::metrics::counter(METRIC_REJECTED).inc();
+                }
+                return Err(ServeError::Overloaded {
+                    queued,
+                    cap: shared.cfg.queue_cap,
+                });
+            }
+            for (slot, session) in sessions.into_iter().enumerate() {
+                if session.is_empty() {
+                    // Answered inline as an empty row (see the type docs):
+                    // workers assume non-empty sessions.
+                    continue;
+                }
+                pending += 1;
+                q.push_back(Job {
+                    session,
+                    enqueued: Stopwatch::start(),
+                    trace: ctx,
+                    enqueued_us: if tracing { trace::now_us() } else { 0 },
+                    deadline_us: opts.deadline_us,
+                    slot,
+                    reply: reply.clone(),
+                });
+            }
+            let depth = q.len();
+            drop(q);
+            if embsr_obs::metrics::enabled() {
+                embsr_obs::metrics::histogram(METRIC_QUEUE_DEPTH).record(depth as u64);
+            }
+            shared.arrivals.notify_all();
+        }
+        Ok(Ticket {
+            replies,
+            rows,
+            pending,
+            version: shared.bank.active_version(),
+            watch,
+        })
+    }
+
+    /// An owned handle to the same engine, for threads that outlive the
+    /// borrow `serve` lends its master closure.
+    pub fn detach(&self) -> Client<'static> {
+        let _span = embsr_obs::span("embsr_serve", "detach_client")
+            .with_close_level(embsr_obs::Level::Trace);
+        Client {
+            shared: Arc::clone(&self.shared),
+            _serve: PhantomData,
+        }
+    }
+
+    /// Fault injection: every worker sleeps `delay_us` after draining a
+    /// batch and before its deadline check, so a slow engine still sheds
+    /// expired work with [`ServeError::DeadlineExpired`]. `0` clears it.
+    pub fn set_delay_us(&self, delay_us: u64) {
+        let _span = embsr_obs::span("embsr_serve", "set_delay");
+        // ordering: Relaxed — a standalone knob; workers pick it up on
+        // their next batch and nothing else is published with it.
+        self.shared.delay_us.store(delay_us, Ordering::Relaxed);
     }
 
     /// Stages serialized `EMBSRSNP` snapshot bytes under `version` without
@@ -430,11 +582,6 @@ impl Client<'_> {
         Ok(())
     }
 
-    /// The version tag new batches are scored under.
-    pub fn active_version(&self) -> u64 {
-        self.shared.bank.active_version()
-    }
-
     /// Control-plane snapshot: active/staged versions + cache counters.
     pub fn status(&self) -> EngineStatus {
         let _span = embsr_obs::span("embsr_serve", "engine_status")
@@ -450,111 +597,12 @@ impl Client<'_> {
                 .unwrap_or_default(),
         }
     }
-
-    fn submit(
-        &self,
-        sessions: Vec<Session>,
-        ctx: TraceCtx,
-        opts: SubmitOptions,
-    ) -> Result<(Vec<Vec<f32>>, u64), ServeError> {
-        let n = sessions.len();
-        if n == 0 {
-            return Ok((Vec::new(), self.shared.bank.active_version()));
-        }
-        let watch = Stopwatch::start();
-        let tracing = !ctx.is_none() && trace::active();
-        let (reply, replies) =
-            std::sync::mpsc::channel::<(usize, u64, Result<Vec<f32>, ServeError>)>();
-        let mut pending = 0usize;
-        let depth;
-        {
-            let mut q = lock(self.shared);
-            if opts.shed && q.len() >= self.cfg.queue_cap {
-                let queued = q.len();
-                drop(q);
-                if embsr_obs::metrics::enabled() {
-                    embsr_obs::metrics::counter(METRIC_REJECTED).inc();
-                }
-                return Err(ServeError::Overloaded {
-                    queued,
-                    cap: self.cfg.queue_cap,
-                });
-            }
-            for (slot, session) in sessions.into_iter().enumerate() {
-                if session.is_empty() {
-                    // Answered inline as an empty row (see the type docs):
-                    // workers assume non-empty sessions.
-                    continue;
-                }
-                pending += 1;
-                q.push_back(Job {
-                    session,
-                    enqueued: Stopwatch::start(),
-                    trace: ctx,
-                    enqueued_us: if tracing { trace::now_us() } else { 0 },
-                    deadline_us: opts.deadline_us,
-                    slot,
-                    reply: reply.clone(),
-                });
-            }
-            depth = q.len();
-        }
-        if embsr_obs::metrics::enabled() {
-            embsr_obs::metrics::histogram(METRIC_QUEUE_DEPTH).record(depth as u64);
-        }
-        self.shared.arrivals.notify_all();
-        drop(reply);
-
-        let mut rows: Vec<Vec<f32>> = vec![Vec::new(); n];
-        // Mixed-version batches can happen mid-swap; the response reports
-        // the newest contributing version.
-        let mut model_version = 0u64;
-        let mut received = 0;
-        while received < pending {
-            match replies.recv_timeout(Duration::from_millis(50)) {
-                Ok((slot, version, Ok(row))) => {
-                    rows[slot] = row;
-                    model_version = model_version.max(version);
-                    received += 1;
-                }
-                Ok((_, _, Err(e))) => {
-                    // One shed session fails the whole request: the caller
-                    // asked for a deadline and this reply is already late.
-                    // Replies for the request's other sessions go to a
-                    // dropped receiver, which workers tolerate.
-                    return Err(e);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    assert!(
-                        !self.signal.is_aborted(),
-                        "serving worker died while scoring"
-                    );
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Every worker dropped its Sender clone: the pool is
-                    // tearing down after a worker panic, which the pool
-                    // re-raises once we return.
-                    assert!(
-                        received == pending,
-                        "serving workers disconnected with {received} of {pending} rows scored"
-                    );
-                }
-            }
-        }
-        if embsr_obs::metrics::enabled() {
-            embsr_obs::metrics::histogram(METRIC_REQUEST_LATENCY_US).record(watch.elapsed_us());
-        }
-        if pending == 0 {
-            // Only empty sessions: nothing scored, tag the current version.
-            model_version = self.shared.bank.active_version();
-        }
-        Ok((rows, model_version))
-    }
 }
 
 /// Drains the next micro-batch, or `None` when the engine has shut down and
 /// the queue is empty.
-fn next_batch(shared: &Shared, cfg: &EngineConfig) -> Option<Vec<Job>> {
+fn next_batch(shared: &Shared) -> Option<Vec<Job>> {
+    let cfg = &shared.cfg;
     let deadline = Duration::from_micros(cfg.flush_deadline_us);
     let mut q = lock(shared);
     loop {
@@ -593,23 +641,45 @@ fn next_batch(shared: &Shared, cfg: &EngineConfig) -> Option<Vec<Job>> {
     }
 }
 
-/// Closes the queue and wakes every worker when dropped.
+/// Closes the engine: enqueues are refused from here on, and workers drain
+/// what is queued and exit.
+fn close(shared: &Shared) {
+    // ordering: SeqCst — the close must totally order against the loads in
+    // `enqueue` and `next_batch`; a weaker store could let a worker re-check
+    // `open` after the wakeup and still read true, stranding it.
+    shared.open.store(false, Ordering::SeqCst);
+    // Take the lock so no worker can check `open` between its queue
+    // inspection and its wait — the wake-up cannot be missed.
+    drop(lock(shared));
+    shared.arrivals.notify_all();
+}
+
+/// Closes the engine when the master closure exits, however it exits.
 ///
-/// Shutdown must happen on *every* exit from the master closure — a master
-/// panic unwinds through [`run_with_workers`]' `catch_unwind` and then
-/// blocks in `thread::scope` joining workers, which would otherwise spin in
-/// [`next_batch`] forever (`open` still true, queue drained). Routing the
-/// store + notify through `Drop` makes the re-raise documented below
+/// A master panic unwinds through [`run_with_workers`]' `catch_unwind` and
+/// then blocks in `thread::scope` joining workers, which would otherwise
+/// spin in [`next_batch`] forever (`open` still true, queue drained).
+/// Routing the close through `Drop` makes the re-raise documented below
 /// reachable no matter how the master exits.
 struct ShutdownGuard<'a>(&'a Shared);
 
 impl Drop for ShutdownGuard<'_> {
     fn drop(&mut self) {
-        // ordering: SeqCst — the close must totally order against workers'
-        // loads in next_batch; a weaker store could let a worker re-check
-        // `open` after the wakeup and still read true, stranding it.
-        self.0.open.store(false, Ordering::SeqCst);
-        notify_shutdown(self.0);
+        close(self.0);
+    }
+}
+
+/// Closes the engine when a scoring worker unwinds, and drops every queued
+/// job: with their senders gone, the waiters get [`ServeError::Closed`]
+/// instead of waiting on a pool that may have no worker left.
+struct WorkerGuard<'a>(&'a Shared);
+
+impl Drop for WorkerGuard<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            close(self.0);
+            lock(self.0).clear();
+        }
     }
 }
 
@@ -618,13 +688,15 @@ impl Drop for ShutdownGuard<'_> {
 /// `cfg.workers` scoring threads each build a private model replica with
 /// `factory()` and load `frozen`'s weight snapshot into it; `master` runs
 /// on the calling thread with a [`Client`] for submitting requests. When
-/// `master` returns, the queue is flushed, the workers exit, and the
-/// master's value is returned.
+/// `master` returns, the engine closes, the workers score what is still
+/// queued and exit, and the master's value is returned.
 ///
 /// # Panics
 /// Re-raises worker panics (e.g. a scoring failure), as
-/// [`run_with_workers`] does; master panics shut the workers down before
-/// propagating, so the engine never hangs on a panicking closure.
+/// [`run_with_workers`] does; a dying worker first closes the engine and
+/// fails every waiter with [`ServeError::Closed`]. Master panics shut the
+/// workers down before propagating, so the engine never hangs on a
+/// panicking closure.
 pub fn serve<M, F, R>(
     frozen: &FrozenModel<M>,
     factory: F,
@@ -637,10 +709,12 @@ where
 {
     let _engine_span = embsr_obs::span("embsr_serve", "serve");
     let tier = frozen.tier();
-    let shared = Shared {
+    let shared = Arc::new(Shared {
+        cfg,
         queue: Mutex::new(VecDeque::new()),
         arrivals: Condvar::new(),
         open: AtomicBool::new(true),
+        delay_us: AtomicU64::new(0),
         bank: ModelBank::new(
             cfg.initial_version,
             StagedSnapshot {
@@ -654,10 +728,11 @@ where
         } else {
             None
         },
-    };
+    });
     run_with_workers(
         cfg.workers.max(1),
         |_worker_id| {
+            let _death = WorkerGuard(&shared);
             // replicas score on the master's kernel tier (snapshots are
             // already quantized, so weights match the master bitwise)
             let (mut local_epoch, mut local_version, snap) = shared.bank.active_state();
@@ -665,7 +740,7 @@ where
                 FrozenModel::from_snapshot(factory(), &snap.weights, snap.max_session_len);
             replica.set_tier(tier);
             drop(snap);
-            while let Some(batch) = next_batch(&shared, &cfg) {
+            while let Some(batch) = next_batch(&shared) {
                 // Hot-swap seam: rebuild this replica when an activation
                 // moved the epoch since the last batch. The batch drained
                 // above scores under the *new* version; batches drained
@@ -687,6 +762,15 @@ where
                         }
                     }
                     local_epoch = epoch;
+                }
+                // ordering: Relaxed — see `Client::set_delay_us`.
+                let delay_us = shared.delay_us.load(Ordering::Relaxed);
+                if delay_us > 0 {
+                    // Fault injection: a slow replica. Sleeping *before* the
+                    // deadline check turns the injected latency into
+                    // observable `DeadlineExpired` errors, not silent
+                    // slowness.
+                    std::thread::sleep(Duration::from_micros(delay_us));
                 }
                 let tracing = trace::active();
                 let drained_us = if tracing { trace::now_us() } else { 0 };
@@ -747,23 +831,14 @@ where
                 }
             }
         },
-        |signal| {
+        |_signal| {
             let _shutdown = ShutdownGuard(&shared);
-            let client = Client {
-                shared: &shared,
-                signal,
-                cfg,
-            };
-            master(&client)
+            master(&Client {
+                shared: Arc::clone(&shared),
+                _serve: PhantomData,
+            })
         },
     )
-}
-
-fn notify_shutdown(shared: &Shared) {
-    // Take the lock so no worker can check `open` between its queue
-    // inspection and its wait — the wake-up cannot be missed.
-    drop(lock(shared));
-    shared.arrivals.notify_all();
 }
 
 #[cfg(test)]
@@ -871,13 +946,80 @@ mod tests {
             )
         }))
         .expect_err("master panic must propagate");
-        let msg = err
-            .downcast_ref::<&str>()
-            .copied()
-            .map(String::from)
-            .or_else(|| err.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
+        let msg = panic_message(&*err);
         assert!(msg.contains("master bailed"), "wrong panic surfaced: {msg}");
+    }
+
+    fn panic_message(err: &(dyn std::any::Any + Send)) -> String {
+        err.downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| err.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn detached_handle_outliving_serve_is_refused_closed_not_hung() {
+        let f = frozen(5, 6);
+        let one = || ScoreBatch {
+            sessions: vec![sess(&[1, 2])],
+        };
+        let (handle, warm) = serve(&f, || ToyModel::new(5, 0), EngineConfig::default(), |client| {
+            let handle = client.detach();
+            let warm = handle.score(one());
+            (handle, warm)
+        });
+        assert_eq!(warm.scores, f.score_batch(&one().sessions), "detached handle scores");
+        let after = handle.try_score(one(), SubmitOptions::default());
+        assert_eq!(after, Err(ServeError::Closed));
+        let queued = handle.enqueue(one().sessions, SubmitOptions::default(), TraceCtx::NONE);
+        assert!(matches!(queued, Err(ServeError::Closed)), "enqueue refused");
+    }
+
+    /// [`ToyModel`] whose forward panics on sessions that start at item 0.
+    struct PoisonedToyModel(ToyModel);
+
+    impl SessionModel for PoisonedToyModel {
+        fn name(&self) -> &str {
+            "PoisonedToy"
+        }
+        fn num_items(&self) -> usize {
+            self.0.num_items()
+        }
+        fn parameters(&self) -> Vec<embsr_tensor::Tensor> {
+            self.0.parameters()
+        }
+        fn logits(&self, s: &Session, t: bool, r: &mut embsr_tensor::Rng) -> embsr_tensor::Tensor {
+            assert!(s.events[0].item != 0, "poisoned session");
+            self.0.logits(s, t, r)
+        }
+    }
+
+    #[test]
+    fn dying_worker_fails_its_waiters_closed_then_reraises() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let f = FrozenModel::freeze(PoisonedToyModel(ToyModel::new(5, 2)), 32);
+        let cfg = EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            serve(&f, || PoisonedToyModel(ToyModel::new(5, 2)), cfg, |client| {
+                let score = |items: &[u32]| {
+                    let req = ScoreBatch {
+                        sessions: vec![sess(items)],
+                    };
+                    client.try_score(req, SubmitOptions::default())
+                };
+                let _ = tx.send((score(&[0, 1]), score(&[1])));
+            })
+        }))
+        .expect_err("the worker panic is re-raised");
+        let (poisoned, later) = rx.recv().expect("the master ran to completion");
+        assert_eq!(poisoned, Err(ServeError::Closed), "waiter of the dead worker");
+        assert_eq!(later, Err(ServeError::Closed), "the dead engine refuses new work");
+        let msg = panic_message(&*err);
+        assert!(msg.contains("poisoned session"), "wrong panic surfaced: {msg}");
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub use cache::{
     METRIC_CACHE_MISSES,
 };
 pub use engine::{
-    serve, Client, EngineConfig, EngineStatus, ServeError, SubmitOptions, SwapError,
+    serve, Client, EngineConfig, EngineStatus, ServeError, SubmitOptions, SwapError, Ticket,
     METRIC_BATCH_SESSIONS, METRIC_DEADLINE_EXPIRED, METRIC_QUEUE_DEPTH, METRIC_REJECTED,
     METRIC_REQUEST_LATENCY_US, METRIC_SESSIONS_SCORED, METRIC_SNAPSHOT_SWAPS,
 };

@@ -61,7 +61,6 @@ where
         factory,
         ServerConfig {
             replicas: 3, // multi-replica: sharding is on the request path
-            dispatchers: 2,
             engine: EngineConfig {
                 workers: 2,
                 max_batch: 16,
