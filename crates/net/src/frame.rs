@@ -5,17 +5,20 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic        "EMBN" (0x45 0x4D 0x42 0x4E)
-//! 4       1     version      protocol version (2)
+//! 4       1     version      protocol version (3)
 //! 5       1     kind         FrameKind discriminant
 //! 6       8     request id   u64, little-endian; responses echo it
 //! 14      4     payload len  u32, little-endian, <= MAX_PAYLOAD
-//! 18      len   payload      UTF-8 JSON (see `wire`)
+//! 18      len   payload      see `wire`: binary for score/top-k
+//!                            responses, UTF-8 JSON for every other kind
 //! ```
 //!
 //! One protocol version is spoken: [`VERSION`], with multiplexed
-//! connections (`Hello`/`HelloAck` opens them) and the control plane
-//! (`Control`/`ControlReply`). A header carrying any other version is
-//! refused with [`FrameError::BadVersion`]; the version byte and the
+//! connections (`Hello`/`HelloAck` opens them), the control plane
+//! (`Control`/`ControlReply`) and binary score/top-k responses. A header
+//! carrying any other version is refused with [`FrameError::BadVersion`],
+//! so a peer that still expects version 2's JSON responses fails at its
+//! `Hello` rather than at its first score; the version byte and the
 //! handshake stay so a later version can still be negotiated.
 //!
 //! The codec is deliberately paranoid: every malformed input maps to a
@@ -36,8 +39,10 @@ use std::io::{self, Read, Write};
 
 /// Leading bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"EMBN";
-/// The protocol version: multiplexed connections + control plane.
-pub const VERSION: u8 = 2;
+/// The protocol version: multiplexed connections, the control plane, and
+/// little-endian binary score/top-k responses (version 2 sent those as
+/// JSON and is refused).
+pub const VERSION: u8 = 3;
 /// Upper bound on the payload of one frame (64 MiB). A length field above
 /// this is rejected before any allocation, so a hostile header cannot OOM
 /// the server.
@@ -100,7 +105,8 @@ pub struct Frame {
     /// Correlates responses with requests on a connection; the server
     /// echoes the id of the request it is answering.
     pub request_id: u64,
-    /// UTF-8 JSON, interpreted by the `wire` layer according to `kind`.
+    /// Interpreted by the `wire` layer according to `kind`: binary for
+    /// score/top-k responses, UTF-8 JSON otherwise.
     pub payload: Vec<u8>,
 }
 

@@ -12,9 +12,11 @@
 //!   request id, payload length). Every malformed byte sequence maps to a
 //!   typed [`FrameError`], never a panic; split/coalesced/truncated reads
 //!   are part of the tested contract.
-//! * [`wire`] — JSON payload codec over `embsr_obs`'s in-tree `JsonValue`.
-//!   Scores cross the wire **bitwise** (`f32` → exact `f64` → shortest
-//!   round-trip decimal → back); requests carry the serving
+//! * [`wire`] — payload codecs. Score rows and top-k lists are
+//!   little-endian binary, so scores cross the wire **bitwise** (their
+//!   `f32` bits, −0.0 and NaN payloads included); requests, errors and
+//!   control payloads are JSON over `embsr_obs`'s in-tree `JsonValue`.
+//!   Requests carry the serving
 //!   [`SubmitOptions`](embsr_serve::SubmitOptions) (deadline budget + shed
 //!   flag) and the [`TraceCtx`](embsr_obs::TraceCtx) wire form, so both
 //!   admission control and request traces span client → server → engine.

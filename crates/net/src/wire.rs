@@ -1,18 +1,29 @@
-//! JSON payload codec for the request/response types, plus the typed
+//! Payload codecs for the request/response types, plus the typed
 //! [`NetError`] every failure on the networked path collapses into.
 //!
-//! Payloads ride inside frames (see [`frame`](crate::frame)) as UTF-8 JSON
-//! built on `embsr_obs`'s in-tree [`JsonValue`]. Scores survive the trip
-//! **bitwise**: an `f32` widens exactly to `f64`, the JSON writer prints
-//! the shortest string that round-trips the `f64`, and narrowing the
-//! parsed `f64` back to `f32` recovers the original bits — the networked
-//! equivalence suite pins this at `f32::to_bits` granularity.
+//! Payloads ride inside frames (see [`frame`](crate::frame)). The two
+//! scoring responses share one little-endian binary layout:
 //!
-//! Request payloads carry three envelopes next to the sessions: the
-//! serving [`SubmitOptions`] (deadline budget in µs + shed flag, so
-//! admission control and deadline expiry propagate end to end), the
-//! [`TraceCtx`] wire form (so PR 6 trace trees cross the boundary), and
-//! for top-k the cutoff `k`. Session and trace ids stay below 2^53, the
+//! ```text
+//! model_version u64 · rows u32 · per row (len u32 · len × cell)
+//! ```
+//!
+//! A [`ScoreResponse`] cell is the score's `f32` bits; a [`TopKResponse`]
+//! cell is `item u32 · score f32 bits`. Rows are ragged, because an empty
+//! session is answered with an empty row. Scores therefore cross the wire
+//! **bitwise** by construction, −0.0, infinities and NaN payloads
+//! included; the networked equivalence suite pins this at `f32::to_bits`
+//! granularity. The decoders read untrusted bytes: every declared count is
+//! bounded by the bytes that remain before anything is allocated, trailing
+//! bytes are refused, and every malformation is a [`NetError::Wire`].
+//!
+//! Requests, errors, the `Hello` handshake and control payloads are UTF-8
+//! JSON built on `embsr_obs`'s in-tree [`JsonValue`]: they are small and
+//! off the scoring path. Request payloads carry three envelopes next to the
+//! sessions: the serving [`SubmitOptions`] (deadline budget in µs + shed
+//! flag, so admission control and deadline expiry propagate end to end),
+//! the [`TraceCtx`] wire form (so trace trees cross the boundary), and for
+//! top-k the cutoff `k`. Session and trace ids stay below 2^53, the
 //! lossless range of the `f64`-backed JSON numbers.
 
 use embsr_obs::{JsonValue, TraceCtx};
@@ -246,132 +257,124 @@ pub fn decode_request(payload: &[u8], top_k: bool) -> Result<RequestEnvelope, Ne
 }
 
 // ---------------------------------------------------------------------------
-// Responses
+// Responses (little-endian binary; see the module docs)
 // ---------------------------------------------------------------------------
 
-/// Encodes a [`ScoreResponse`] payload: `{"scores": [[...], ...],
-/// "model_version": N}`.
-pub fn encode_score_response(resp: &ScoreResponse) -> Vec<u8> {
-    JsonValue::object(vec![
-        (
-            "scores",
-            JsonValue::Array(
-                resp.scores
-                    .iter()
-                    .map(|row| {
-                        JsonValue::Array(row.iter().map(|&s| JsonValue::Number(s as f64)).collect())
-                    })
-                    .collect(),
-            ),
-        ),
-        ("model_version", resp.model_version.into()),
-    ])
-    .to_json()
-    .into_bytes()
+/// A count as its `u32` length field. A count above `u32::MAX` saturates:
+/// such a payload is far above `frame::MAX_PAYLOAD`, so the frame encoder
+/// refuses it before it reaches a socket.
+fn len_field(n: usize) -> [u8; 4] {
+    u32::try_from(n).unwrap_or(u32::MAX).to_le_bytes()
 }
 
-/// Decodes a [`ScoreResponse`] payload (bitwise-exact scores; see the
-/// module docs).
-pub fn decode_score_response(payload: &[u8]) -> Result<ScoreResponse, NetError> {
-    let v = parse_payload(payload)?;
-    let rows = field(&v, "scores")?
-        .as_array()
-        .ok_or_else(|| NetError::Wire("`scores` is not an array".into()))?;
-    let mut scores = Vec::with_capacity(rows.len());
+/// Writes the shared response layout with `N`-byte cells.
+fn encode_rows<T, const N: usize>(
+    model_version: u64,
+    rows: &[Vec<T>],
+    cell: impl Fn(&T) -> [u8; N],
+) -> Vec<u8> {
+    let cells: usize = rows.iter().map(Vec::len).sum();
+    let mut out = Vec::with_capacity(12 + 4 * rows.len() + N * cells);
+    out.extend_from_slice(&model_version.to_le_bytes());
+    out.extend_from_slice(&len_field(rows.len()));
     for row in rows {
-        let cells = row
-            .as_array()
-            .ok_or_else(|| NetError::Wire("score row is not an array".into()))?;
-        let mut out = Vec::with_capacity(cells.len());
-        for c in cells {
-            let f = c
-                .as_f64()
-                .ok_or_else(|| NetError::Wire("score is not a number".into()))?;
-            out.push(f as f32);
+        out.extend_from_slice(&len_field(row.len()));
+        // Sized once and filled in place: a push per cell re-checks the
+        // capacity each time, ~5× slower on 8,192-score rows (x86-64).
+        let start = out.len();
+        out.resize(start + N * row.len(), 0);
+        for (dst, c) in out[start..].as_chunks_mut::<N>().0.iter_mut().zip(row) {
+            *dst = cell(c);
         }
-        scores.push(out);
     }
-    // An untagged payload decodes with tag 0 ("scorer predates tagging").
-    let model_version = match v.get("model_version") {
-        Some(mv) => non_negative_int(mv, "model_version")?,
-        None => 0,
-    };
+    out
+}
+
+fn take<const N: usize>(rest: &mut &[u8], what: &str) -> Result<[u8; N], NetError> {
+    let (head, tail) = rest
+        .split_first_chunk::<N>()
+        .ok_or_else(|| NetError::Wire(format!("payload ends inside the {what}")))?;
+    *rest = tail;
+    Ok(*head)
+}
+
+fn take_len(rest: &mut &[u8], what: &str) -> Result<usize, NetError> {
+    let n = u32::from_le_bytes(take(rest, what)?);
+    usize::try_from(n).map_err(|_| NetError::Wire(format!("{what} {n} overflows usize")))
+}
+
+/// Reads the shared response layout with `N`-byte cells back into
+/// `(model_version, rows)`.
+fn decode_rows<T, const N: usize>(
+    payload: &[u8],
+    cell: impl Fn([u8; N]) -> T,
+) -> Result<(u64, Vec<Vec<T>>), NetError> {
+    let mut rest = payload;
+    let model_version = u64::from_le_bytes(take(&mut rest, "model version")?);
+    let rows = take_len(&mut rest, "row count")?;
+    // Every row spends at least its 4-byte length field.
+    if rows > rest.len() / 4 {
+        return Err(NetError::Wire(format!(
+            "{rows} row(s) declared with {} byte(s) left",
+            rest.len()
+        )));
+    }
+    let mut out = Vec::with_capacity(rows);
+    for _ in 0..rows {
+        let len = take_len(&mut rest, "row length")?;
+        let (row, tail) = len
+            .checked_mul(N)
+            .and_then(|bytes| rest.split_at_checked(bytes))
+            .ok_or_else(|| {
+                NetError::Wire(format!(
+                    "row of {len} {N}-byte cell(s) declared with {} byte(s) left",
+                    rest.len()
+                ))
+            })?;
+        rest = tail;
+        out.push(row.as_chunks::<N>().0.iter().map(|&c| cell(c)).collect());
+    }
+    if !rest.is_empty() {
+        return Err(NetError::Wire(format!(
+            "{} trailing byte(s) after the last row",
+            rest.len()
+        )));
+    }
+    Ok((model_version, out))
+}
+
+/// Encodes a [`ScoreResponse`] payload; each cell is one score's `f32`
+/// bits.
+pub fn encode_score_response(resp: &ScoreResponse) -> Vec<u8> {
+    encode_rows(resp.model_version, &resp.scores, |s| s.to_le_bytes())
+}
+
+/// Decodes a [`ScoreResponse`] payload (bitwise-exact scores).
+pub fn decode_score_response(payload: &[u8]) -> Result<ScoreResponse, NetError> {
+    let (model_version, scores) = decode_rows(payload, f32::from_le_bytes)?;
     Ok(ScoreResponse {
         scores,
         model_version,
     })
 }
 
-/// Encodes a [`TopKResponse`] payload: `{"items": [[[item, score], ...], ...],
-/// "model_version": N}`.
+/// Encodes a [`TopKResponse`] payload; each cell is `item u32 · score f32
+/// bits`.
 pub fn encode_top_k_response(resp: &TopKResponse) -> Vec<u8> {
-    JsonValue::object(vec![
-        (
-            "items",
-            JsonValue::Array(
-                resp.items
-                    .iter()
-                    .map(|recs| {
-                        JsonValue::Array(
-                            recs.iter()
-                                .map(|r| {
-                                    JsonValue::Array(vec![
-                                        (r.item as u64).into(),
-                                        JsonValue::Number(r.score as f64),
-                                    ])
-                                })
-                                .collect(),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-        ("model_version", resp.model_version.into()),
-    ])
-    .to_json()
-    .into_bytes()
+    encode_rows(resp.model_version, &resp.items, |r| {
+        let [i0, i1, i2, i3] = r.item.to_le_bytes();
+        let [s0, s1, s2, s3] = r.score.to_le_bytes();
+        [i0, i1, i2, i3, s0, s1, s2, s3]
+    })
 }
 
-/// Decodes a [`TopKResponse`] payload.
+/// Decodes a [`TopKResponse`] payload (bitwise-exact scores).
 pub fn decode_top_k_response(payload: &[u8]) -> Result<TopKResponse, NetError> {
-    let v = parse_payload(payload)?;
-    let rows = field(&v, "items")?
-        .as_array()
-        .ok_or_else(|| NetError::Wire("`items` is not an array".into()))?;
-    let mut items = Vec::with_capacity(rows.len());
-    for row in rows {
-        let recs = row
-            .as_array()
-            .ok_or_else(|| NetError::Wire("recommendation row is not an array".into()))?;
-        let mut out = Vec::with_capacity(recs.len());
-        for rec in recs {
-            let pair = rec
-                .as_array()
-                .ok_or_else(|| NetError::Wire("recommendation is not an [item, score] pair".into()))?;
-            if pair.len() != 2 {
-                return Err(NetError::Wire(format!(
-                    "recommendation has {} element(s), expected 2",
-                    pair.len()
-                )));
-            }
-            let item = non_negative_int(&pair[0], "recommended item")?;
-            let item = u32::try_from(item)
-                .map_err(|_| NetError::Wire(format!("item id {item} overflows u32")))?;
-            let score = pair[1]
-                .as_f64()
-                .ok_or_else(|| NetError::Wire("score is not a number".into()))?;
-            out.push(ScoredItem {
-                item,
-                score: score as f32,
-            });
-        }
-        items.push(out);
-    }
-    // An untagged payload decodes with tag 0 ("scorer predates tagging").
-    let model_version = match v.get("model_version") {
-        Some(mv) => non_negative_int(mv, "model_version")?,
-        None => 0,
-    };
+    let (model_version, items) =
+        decode_rows(payload, |[i0, i1, i2, i3, s0, s1, s2, s3]| ScoredItem {
+            item: u32::from_le_bytes([i0, i1, i2, i3]),
+            score: f32::from_le_bytes([s0, s1, s2, s3]),
+        })?;
     Ok(TopKResponse {
         items,
         model_version,

@@ -73,7 +73,11 @@ fn one_connection_sustains_four_in_flight_and_completes_out_of_order() {
     assert!(server.set_replica_delay_us(0, 20_000));
 
     let client = NetClient::connect(server.addr()).expect("connect");
-    assert_eq!(client.proto_version(), VERSION, "handshake negotiates v2");
+    assert_eq!(
+        client.proto_version(),
+        VERSION,
+        "handshake negotiates the current version"
+    );
 
     let pendings: Vec<_> = batches
         .iter()
@@ -205,16 +209,22 @@ fn frame_of_another_version_gets_an_id0_error_and_the_connection_closes() {
 fn hello_offering_an_older_version_gets_bad_request() {
     let _g = guard();
     let (server, _frozen) = start_server(1, 33);
-    let mut stream = TcpStream::connect(server.addr()).expect("tcp connect");
-    let (kind, payload) = wire::encode_request(&Request::Hello { max_version: 1 });
-    frame::write_frame(&mut stream, &Frame::new(kind, 5, payload)).expect("write hello");
+    // Version 1 (serial) and version 2 (JSON score/top-k responses) are
+    // both retired.
+    for max_version in [1u8, 2] {
+        let mut stream = TcpStream::connect(server.addr()).expect("tcp connect");
+        let (kind, payload) = wire::encode_request(&Request::Hello { max_version });
+        frame::write_frame(&mut stream, &Frame::new(kind, 5, payload)).expect("write hello");
 
-    let resp = frame::read_frame(&mut stream).expect("hello answer");
-    assert_eq!(resp.kind, FrameKind::ErrorResponse);
-    assert_eq!(resp.request_id, 5, "the answer echoes the hello's id");
-    match wire::decode_error(&resp.payload) {
-        NetError::BadRequest(msg) => assert!(msg.contains("version 1"), "{msg}"),
-        other => panic!("expected BadRequest, got {other:?}"),
+        let resp = frame::read_frame(&mut stream).expect("hello answer");
+        assert_eq!(resp.kind, FrameKind::ErrorResponse);
+        assert_eq!(resp.request_id, 5, "the answer echoes the hello's id");
+        match wire::decode_error(&resp.payload) {
+            NetError::BadRequest(msg) => {
+                assert!(msg.contains(&format!("version {max_version}")), "{msg}")
+            }
+            other => panic!("expected BadRequest, got {other:?}"),
+        }
     }
     server.shutdown();
 }

@@ -1,10 +1,13 @@
-//! Protocol property tests: seeded round-trip fuzzing of the frame codec.
+//! Protocol property tests: seeded round-trip fuzzing of the frame codec
+//! and of the binary score/top-k response payloads.
 //!
 //! The transport under a real server delivers bytes in arbitrary splits
 //! and coalescings, truncates mid-frame on resets, and (from a hostile
 //! peer) can contain anything at all. The codec's contract is that every
 //! one of those inputs maps to a typed [`FrameError`] or a correct
-//! [`Frame`] — never a panic, never a wrong payload.
+//! [`Frame`] — never a panic, never a wrong payload. The response
+//! decoders hold the same contract one layer up, with [`NetError::Wire`],
+//! and carry every score bit for bit.
 
 use std::io::{self, Read};
 
@@ -12,6 +15,8 @@ use embsr_net::frame::{
     encode, read_frame, write_frame, Frame, FrameError, FrameKind, HEADER_LEN, MAGIC, MAX_PAYLOAD,
     VERSION,
 };
+use embsr_net::{wire, NetError};
+use embsr_serve::{ScoreResponse, ScoredItem, TopKResponse};
 
 /// Local SplitMix64 so the fuzz schedule is seeded and reproducible.
 struct Rand(u64);
@@ -264,41 +269,21 @@ fn version_bounds_are_enforced_on_both_paths() {
         version,
         ..Frame::new(FrameKind::ScoreRequest, 1, Vec::new())
     };
-    assert_eq!(encode(&frame(0)), Err(FrameError::BadVersion(0)));
-    assert_eq!(encode(&frame(1)), Err(FrameError::BadVersion(1)));
-    assert_eq!(encode(&frame(VERSION + 1)), Err(FrameError::BadVersion(VERSION + 1)));
-    // ...and decode rejects a zero version byte and the retired version 1
-    // on the wire.
+    for version in [0u8, 1, 2, VERSION + 1] {
+        assert_eq!(
+            encode(&frame(version)),
+            Err(FrameError::BadVersion(version))
+        );
+    }
+    // ...and decode rejects a zero version byte and the retired versions 1
+    // (serial) and 2 (JSON score/top-k responses) on the wire.
     let good = encode(&Frame::new(FrameKind::ScoreRequest, 1, Vec::new())).expect("within cap");
-    for version in [0u8, 1] {
+    for version in [0u8, 1, 2] {
         let mut bytes = good.clone();
         bytes[4] = version;
         let mut t = Chunked::new(bytes, 21, 8);
         assert_eq!(read_frame(&mut t), Err(FrameError::BadVersion(version)));
     }
-}
-
-#[test]
-fn v1_response_payloads_still_decode_under_the_unified_codec() {
-    // A v1 server's score/top-k response JSON has no `model_version` key;
-    // the redesigned decoders must accept it and default the tag to 0.
-    let v1_scores = br#"{"scores":[[0.5,-1.25],[3.0,0.0]]}"#;
-    let resp = embsr_net::wire::decode_score_response(v1_scores).expect("v1 payload");
-    assert_eq!(resp.model_version, 0, "missing tag defaults to 0");
-    assert_eq!(resp.scores.len(), 2);
-    assert_eq!(resp.scores[0][1].to_bits(), (-1.25f32).to_bits());
-
-    let v1_recs = br#"{"items":[[[7,0.5],[3,0.25]]]}"#;
-    let recs = embsr_net::wire::decode_top_k_response(v1_recs).expect("v1 payload");
-    assert_eq!(recs.model_version, 0);
-    assert_eq!(recs.items[0][0].item, 7);
-
-    // And the v2 encoders only *append* the tag — a decoder that ignores
-    // unknown keys (as the v1 parser did) keeps working, which the round
-    // trip through the tagged form pins structurally.
-    let encoded = embsr_net::wire::encode_score_response(&resp);
-    let again = embsr_net::wire::decode_score_response(&encoded).expect("tagged payload");
-    assert_eq!(again.scores, resp.scores);
 }
 
 #[test]
@@ -313,5 +298,178 @@ fn request_ids_round_trip_at_the_extremes() {
         let bytes = encode(&frame).expect("within cap");
         let mut t = Chunked::new(bytes, id ^ 0xA5, 8);
         assert_eq!(read_frame(&mut t).expect("round trip").request_id, id);
+    }
+}
+
+/// Scores whose bits a decimal codec loses or cannot carry, as `f32` bits.
+const EDGE_BITS: [u32; 8] = [
+    0x0000_0000, // +0.0
+    0x8000_0000, // -0.0
+    0x7f80_0000, // +inf
+    0xff80_0000, // -inf
+    0x7fc0_0000, // quiet NaN
+    0x7fc0_0001, // NaN with a payload
+    0x0000_0001, // smallest subnormal
+    0x7f7f_ffff, // f32::MAX
+];
+
+fn score_bits(rows: &[Vec<f32>]) -> Vec<Vec<u32>> {
+    rows.iter()
+        .map(|row| row.iter().map(|s| s.to_bits()).collect())
+        .collect()
+}
+
+fn rec_bits(rows: &[Vec<ScoredItem>]) -> Vec<Vec<(u32, u32)>> {
+    rows.iter()
+        .map(|row| row.iter().map(|r| (r.item, r.score.to_bits())).collect())
+        .collect()
+}
+
+#[test]
+fn response_payloads_carry_edge_scores_bitwise() {
+    let edge: Vec<f32> = EDGE_BITS.iter().map(|&b| f32::from_bits(b)).collect();
+    // Ragged rows (an empty session is answered with an empty row), a lone
+    // empty row, and a response with zero rows.
+    let shapes: Vec<Vec<Vec<f32>>> = vec![
+        vec![edge.clone(), Vec::new(), vec![edge[1]], edge[2..6].to_vec()],
+        vec![Vec::new()],
+        Vec::new(),
+    ];
+    for model_version in [0u64, u64::MAX] {
+        for scores in &shapes {
+            let resp = ScoreResponse {
+                scores: scores.clone(),
+                model_version,
+            };
+            let bytes = wire::encode_score_response(&resp);
+            let got = wire::decode_score_response(&bytes).expect("score rows decode");
+            assert_eq!(got.model_version, model_version);
+            assert_eq!(score_bits(&got.scores), score_bits(&resp.scores));
+            let cells: usize = scores.iter().map(|r| 4 + 4 * r.len()).sum();
+            assert_eq!(bytes.len(), 12 + cells, "score layout size");
+
+            let resp = TopKResponse {
+                items: scores
+                    .iter()
+                    .map(|row| {
+                        row.iter()
+                            .enumerate()
+                            .map(|(i, &score)| ScoredItem {
+                                item: u32::MAX - i as u32,
+                                score,
+                            })
+                            .collect()
+                    })
+                    .collect(),
+                model_version,
+            };
+            let bytes = wire::encode_top_k_response(&resp);
+            let got = wire::decode_top_k_response(&bytes).expect("top-k lists decode");
+            assert_eq!(got.model_version, model_version);
+            assert_eq!(rec_bits(&got.items), rec_bits(&resp.items));
+            let cells: usize = scores.iter().map(|r| 4 + 8 * r.len()).sum();
+            assert_eq!(bytes.len(), 12 + cells, "top-k layout size");
+        }
+    }
+}
+
+/// Decodes a response payload and encodes the result again, so `Ok`
+/// carries the canonical bytes of whatever decoded.
+type Reencode = fn(&[u8]) -> Result<Vec<u8>, NetError>;
+
+/// Each response codec with a valid, ragged payload of its kind.
+fn response_codecs() -> [(&'static str, Reencode, Vec<u8>); 2] {
+    let scores = vec![vec![0.5f32, -1.25], Vec::new(), vec![3.0]];
+    let items = vec![
+        vec![
+            ScoredItem {
+                item: 7,
+                score: 0.5,
+            },
+            ScoredItem {
+                item: 3,
+                score: 0.25,
+            },
+        ],
+        Vec::new(),
+    ];
+    [
+        (
+            "score rows",
+            |b| wire::decode_score_response(b).map(|r| wire::encode_score_response(&r)),
+            wire::encode_score_response(&ScoreResponse {
+                scores,
+                model_version: 9,
+            }),
+        ),
+        (
+            "top-k lists",
+            |b| wire::decode_top_k_response(b).map(|r| wire::encode_top_k_response(&r)),
+            wire::encode_top_k_response(&TopKResponse {
+                items,
+                model_version: 9,
+            }),
+        ),
+    ]
+}
+
+#[test]
+fn hostile_response_payloads_fail_typed() {
+    // `model_version` then a `u32::MAX` row count, or one row whose length
+    // is `u32::MAX`, followed by a few bytes: refused before allocating.
+    let mut huge_rows = 9u64.to_le_bytes().to_vec();
+    huge_rows.extend_from_slice(&u32::MAX.to_le_bytes());
+    huge_rows.extend_from_slice(&[0u8; 12]);
+    let mut huge_len = 9u64.to_le_bytes().to_vec();
+    huge_len.extend_from_slice(&1u32.to_le_bytes());
+    huge_len.extend_from_slice(&u32::MAX.to_le_bytes());
+    huge_len.extend_from_slice(&[0u8; 12]);
+    for (what, reencode, valid) in response_codecs() {
+        assert_eq!(reencode(&valid), Ok(valid.clone()), "{what}: valid payload");
+        for cut in 0..valid.len() {
+            assert!(
+                matches!(reencode(&valid[..cut]), Err(NetError::Wire(_))),
+                "{what}: {cut}-byte prefix"
+            );
+        }
+        let mut trailing = valid.clone();
+        trailing.push(0);
+        for (case, bytes) in [
+            ("trailing byte", trailing),
+            ("u32::MAX rows", huge_rows.clone()),
+            ("u32::MAX row length", huge_len.clone()),
+        ] {
+            assert!(
+                matches!(reencode(&bytes), Err(NetError::Wire(_))),
+                "{what}: {case}"
+            );
+        }
+    }
+}
+
+#[test]
+fn random_response_payloads_never_panic_the_decoders() {
+    let mut rng = Rand(0x5C0_4E5);
+    for _ in 0..500 {
+        let len = rng.below(96) as usize;
+        let garbage: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
+        for (what, reencode, valid) in response_codecs() {
+            // A few corrupted bytes of a valid payload get past the count
+            // checks that stop most raw garbage early.
+            let mut corrupted = valid;
+            for _ in 0..=rng.below(3) {
+                let at = rng.below(corrupted.len() as u64) as usize;
+                corrupted[at] = rng.next() as u8;
+            }
+            for bytes in [&garbage, &corrupted] {
+                match reencode(bytes) {
+                    Ok(again) => {
+                        assert_eq!(&again, bytes, "{what}: decoded bytes re-encode as sent")
+                    }
+                    Err(NetError::Wire(_)) => {}
+                    Err(other) => panic!("{what}: untyped failure {other:?}"),
+                }
+            }
+        }
     }
 }

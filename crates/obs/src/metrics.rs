@@ -85,14 +85,14 @@ impl Gauge {
     }
 }
 
-const SUB_BITS: u32 = 2;
-const SUBS: usize = 1 << SUB_BITS; // 4 sub-buckets per power-of-two octave
-const BUCKETS: usize = 64 * SUBS; // indices 0..=255
+const SUB_BITS: u32 = 4;
+const SUBS: usize = 1 << SUB_BITS; // 16 sub-buckets per power-of-two octave
+const BUCKETS: usize = 64 * SUBS; // indices 0..=1023
 
 /// Log-bucketed histogram over `u64` samples (durations in µs, sizes in
-/// bytes, …). Each power-of-two octave is split into 4 sub-buckets, so
-/// quantile answers are exact to within ~12.5% relative error while the
-/// whole histogram is 256 fixed atomics — no allocation, no locking.
+/// bytes, …). Each power-of-two octave is split into 16 sub-buckets, so
+/// quantile answers are exact to within 1/32 (~3.1%) relative error while
+/// the whole histogram is 1,024 fixed atomics — no allocation, no locking.
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
@@ -172,8 +172,8 @@ impl Histogram {
     }
 
     /// The `q`-quantile (`0.5` = p50) as a bucket-midpoint estimate, exact
-    /// to within one sub-bucket (~12.5% relative) and clamped to the
-    /// recorded [min, max]. `NaN` when empty.
+    /// to within half a sub-bucket (≤1/32, ~3.1% relative) and clamped to
+    /// the recorded [min, max]. `NaN` when empty.
     pub fn quantile(&self, q: f64) -> f64 {
         let n = self.count();
         if n == 0 {
@@ -191,8 +191,8 @@ impl Histogram {
                 cum >= rank
             })
             .unwrap_or(BUCKETS - 1);
-        // A midpoint can fall outside the samples (five 8s land in the
-        // [8, 10) bucket, midpoint 9); the exact extremes bound every
+        // A midpoint can fall outside the samples (five 32s land in the
+        // [32, 34) bucket, midpoint 33); the exact extremes bound every
         // quantile. A record racing this read may not have published its
         // min/max yet, so clamp only to a consistent range.
         match (self.min(), self.max()) {
@@ -202,8 +202,8 @@ impl Histogram {
     }
 
     /// Fraction of recorded samples above `threshold` (`0.0` when empty),
-    /// judged by bucket midpoint — subject to the same ~12.5% relative
-    /// bucketing error as [`Histogram::quantile`]. This is the violation
+    /// judged by bucket midpoint — subject to the same ≤1/32 (~3.1%)
+    /// relative bucketing error as [`Histogram::quantile`]. This is the violation
     /// rate the SLO error-budget accounting consumes.
     pub fn fraction_above(&self, threshold: u64) -> f64 {
         let mut total = 0u64;
@@ -374,11 +374,11 @@ mod tests {
             assert!(idx < BUCKETS);
             prev = idx;
         }
-        // representative stays within 12.5% of any value in the bucket
-        for v in [1u64, 9, 57, 1000, 123_456, 999_999_937] {
+        // representative stays within 1/32 of any value in the bucket
+        for v in [1u64, 9, 16, 57, 1000, 123_456, 999_999_937] {
             let mid = bucket_mid(bucket_index(v));
             let rel = (mid - v as f64).abs() / v as f64;
-            assert!(rel <= 0.125 + 1e-9, "value {v}: mid {mid} rel {rel}");
+            assert!(rel <= 1.0 / 32.0 + 1e-9, "value {v}: mid {mid} rel {rel}");
         }
     }
 
@@ -392,7 +392,10 @@ mod tests {
         for (q, expect) in [(0.5, 5_000.0), (0.95, 9_500.0), (0.99, 9_900.0)] {
             let got = h.quantile(q);
             let rel = (got - expect).abs() / expect;
-            assert!(rel < 0.13, "q{q}: got {got}, want ~{expect} (rel {rel})");
+            assert!(
+                rel <= 1.0 / 32.0,
+                "q{q}: got {got}, want ~{expect} (rel {rel})"
+            );
         }
         assert_eq!(h.min(), Some(1));
         assert_eq!(h.max(), Some(10_000));
@@ -406,16 +409,16 @@ mod tests {
         h.record(42);
         // a single sample answers every quantile with its own bucket
         let rel = (h.quantile(0.0) - 42.0).abs() / 42.0;
-        assert!(rel <= 0.125);
+        assert!(rel <= 1.0 / 32.0);
         assert_eq!(h.quantile(0.0), h.quantile(1.0));
-        // identical samples sit below their bucket's midpoint (9 for the
-        // [8, 10) bucket); quantiles stay inside the observed range
+        // identical samples sit below their bucket's midpoint (33 for the
+        // [32, 34) bucket); quantiles stay inside the observed range
         let h = Histogram::default();
         for _ in 0..5 {
-            h.record(8);
+            h.record(32);
         }
         for q in [0.0, 0.5, 0.95, 1.0] {
-            assert_eq!(h.quantile(q), 8.0, "q{q}");
+            assert_eq!(h.quantile(q), 32.0, "q{q}");
         }
         let h = Histogram::default();
         for v in [100u64, 103] {

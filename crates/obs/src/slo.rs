@@ -14,7 +14,7 @@
 //! [`evaluate`] reads the named histograms from the registry
 //! ([`metrics::histogram`]) at call time — it is a point-in-time check,
 //! not a monitor. Both the quantile estimate and the violation fraction
-//! inherit the histogram's ~12.5% bucketing error.
+//! inherit the histogram's ≤1/32 (~3.1%) bucketing error.
 
 use crate::json::JsonValue;
 use crate::metrics;

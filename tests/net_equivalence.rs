@@ -1,15 +1,14 @@
 //! Networked-serving equivalence: scores served over TCP — through the
-//! frame codec, the JSON wire format, rendezvous sharding across multiple
-//! replicas, the router queues, and the micro-batching engine — must be
-//! **bitwise identical** (`f32::to_bits`) to the in-process frozen model.
+//! frame codec, the binary score/top-k payloads, rendezvous sharding
+//! across multiple replicas, and each replica's micro-batching engine
+//! queue — must be **bitwise identical** (`f32::to_bits`) to the in-process
+//! frozen model.
 //!
 //! Two properties make exact equality achievable and therefore required:
 //! every replica rebuilds from the same weight snapshot (pinned by
-//! `serving_equivalence.rs`), and the wire format round-trips `f32` exactly
-//! (`f32 → f64` is exact, the JSON writer prints shortest-round-trip
-//! decimals, and narrowing back to `f32` recovers the original bits).
-//! Anything short of bitwise equality here means the network layer
-//! corrupted a score.
+//! `serving_equivalence.rs`), and the wire format carries each score as
+//! its little-endian `f32` bits. Anything short of bitwise equality here
+//! means the network layer corrupted a score.
 
 use embsr_baselines::{Gru4Rec, Narm};
 use embsr_core::{Embsr, EmbsrConfig};
