@@ -5,10 +5,10 @@
 //! **Macro-behavior models** (item sequence only):
 //! * [`SPop`] — session popularity with global fallback,
 //! * [`Sknn`] — session-based k-nearest-neighbors,
-//! * [`Stan`] — sequence-and-time-aware neighborhood (related work [20]),
+//! * [`Stan`] — sequence-and-time-aware neighborhood (related work \[20\]),
 //! * [`MarkovChain`] / [`Fpmc`] — first-order transitions, raw and
-//!   factorized (related work [4], [18]),
-//! * [`ItemKnn`] — order-blind item-item cosine (related work [17]),
+//!   factorized (related work \[4\], \[18\]),
+//! * [`ItemKnn`] — order-blind item-item cosine (related work \[17\]),
 //! * [`Gru4Rec`] — GRU over item embeddings,
 //! * [`Narm`] — encoder/decoder GRU with attention,
 //! * [`Stamp`] — short-term attention/memory priority,

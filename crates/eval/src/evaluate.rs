@@ -55,7 +55,7 @@ pub const EVAL_BATCH: usize = 32;
 ///
 /// Sessions whose prefix is empty are skipped (they carry no evidence).
 /// Scoring goes through [`Recommender::scores_batch`] in chunks of
-/// [`EVAL_BATCH`]; batched overrides are held to bitwise equality with the
+/// `EVAL_BATCH` (32); batched overrides are held to bitwise equality with the
 /// per-session path, so the reported metrics are identical either way.
 pub fn evaluate(rec: &dyn Recommender, test: &[Example], ks: &[usize]) -> Evaluation {
     assert!(!ks.is_empty(), "no cutoffs requested");

@@ -5,21 +5,22 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic        "EMBN" (0x45 0x4D 0x42 0x4E)
-//! 4       1     version      protocol version (3)
+//! 4       1     version      protocol version (4)
 //! 5       1     kind         FrameKind discriminant
 //! 6       8     request id   u64, little-endian; responses echo it
 //! 14      4     payload len  u32, little-endian, <= MAX_PAYLOAD
-//! 18      len   payload      see `wire`: binary for score/top-k
-//!                            responses, UTF-8 JSON for every other kind
+//! 18      len   payload      little-endian binary, laid out per kind
+//!                            (see `wire`)
 //! ```
 //!
 //! One protocol version is spoken: [`VERSION`], with multiplexed
 //! connections (`Hello`/`HelloAck` opens them), the control plane
-//! (`Control`/`ControlReply`) and binary score/top-k responses. A header
-//! carrying any other version is refused with [`FrameError::BadVersion`],
-//! so a peer that still expects version 2's JSON responses fails at its
-//! `Hello` rather than at its first score; the version byte and the
-//! handshake stay so a later version can still be negotiated.
+//! (`Control`/`ControlReply`) and one binary payload format for every
+//! kind. A header carrying any other version is refused with
+//! [`FrameError::BadVersion`], so a peer that still sends version 3's JSON
+//! requests fails at its first frame header rather than on a payload it
+//! cannot parse; the version byte and the handshake stay so a later
+//! version can still be negotiated.
 //!
 //! The codec is deliberately paranoid: every malformed input maps to a
 //! typed [`FrameError`] — bad magic, unknown version or kind, oversized
@@ -40,9 +41,9 @@ use std::io::{self, Read, Write};
 /// Leading bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"EMBN";
 /// The protocol version: multiplexed connections, the control plane, and
-/// little-endian binary score/top-k responses (version 2 sent those as
-/// JSON and is refused).
-pub const VERSION: u8 = 3;
+/// little-endian binary payloads of every kind (version 3 sent requests,
+/// errors, the handshake and control payloads as JSON and is refused).
+pub const VERSION: u8 = 4;
 /// Upper bound on the payload of one frame (64 MiB). A length field above
 /// this is rejected before any allocation, so a hostile header cannot OOM
 /// the server.
@@ -105,8 +106,8 @@ pub struct Frame {
     /// Correlates responses with requests on a connection; the server
     /// echoes the id of the request it is answering.
     pub request_id: u64,
-    /// Interpreted by the `wire` layer according to `kind`: binary for
-    /// score/top-k responses, UTF-8 JSON otherwise.
+    /// Interpreted by the `wire` layer according to `kind`; every kind's
+    /// payload is little-endian binary.
     pub payload: Vec<u8>,
 }
 

@@ -12,13 +12,12 @@
 //!   request id, payload length). Every malformed byte sequence maps to a
 //!   typed [`FrameError`], never a panic; split/coalesced/truncated reads
 //!   are part of the tested contract.
-//! * [`wire`] — payload codecs. Score rows and top-k lists are
-//!   little-endian binary, so scores cross the wire **bitwise** (their
-//!   `f32` bits, −0.0 and NaN payloads included); requests, errors and
-//!   control payloads are JSON over `embsr_obs`'s in-tree `JsonValue`.
-//!   Requests carry the serving
+//! * [`wire`] — payload codecs, one little-endian binary format for every
+//!   frame kind. Scores cross the wire **bitwise** (their `f32` bits, −0.0
+//!   and NaN payloads included), session and trace ids at their full 64
+//!   bits, and snapshots as raw bytes. Requests carry the serving
 //!   [`SubmitOptions`](embsr_serve::SubmitOptions) (deadline budget + shed
-//!   flag) and the [`TraceCtx`](embsr_obs::TraceCtx) wire form, so both
+//!   flag) and the caller's [`TraceCtx`](embsr_obs::TraceCtx), so both
 //!   admission control and request traces span client → server → engine.
 //! * [`shard`] — rendezvous (highest-random-weight) hashing of session
 //!   keys over the alive replica set: deterministic, balanced, and

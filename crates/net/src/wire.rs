@@ -1,32 +1,42 @@
-//! Payload codecs for the request/response types, plus the typed
-//! [`NetError`] every failure on the networked path collapses into.
+//! Payload codecs for every frame kind, plus the typed [`NetError`] every
+//! failure on the networked path collapses into.
 //!
-//! Payloads ride inside frames (see [`frame`](crate::frame)). The two
-//! scoring responses share one little-endian binary layout:
+//! Payloads ride inside frames (see [`frame`](crate::frame)). Every payload
+//! is little-endian binary, built from the same few field shapes:
 //!
 //! ```text
-//! model_version u64 · rows u32 · per row (len u32 · len × cell)
+//! fields    integers LE at their width · counts u32 · bytes = len u32 · raw · text = bytes, UTF-8
+//! request   deadline_us u64 · shed u8 (0|1) · trace u64 · span u64 · [k u32, TopKRequest only]
+//!           · sessions u32 · per session (id u64 · events u32 · events × (item u32 · op u16))
+//! response  model_version u64 · rows u32 · per row (len u32 · len × cell)
+//!           ScoreResponse cell: score f32 bits · TopKResponse cell: item u32 · score f32 bits
+//! Hello     max_version u8                     HelloAck  version u8
+//! Error     code u8 · 1 overloaded: queued u64 · cap u64 | 2 deadline_expired: waited_us u64
+//!           | 3 unavailable: text | 4 bad_request: text
+//! Control   op u8 · 1 load_snapshot: version u64 · snapshot bytes | 2 activate: version u64 | 3 status
+//! Reply     code u8 · 1 done: version u64 | 2 status: replicas u32 · per replica (active u64
+//!           · staged u32 × u64 · hits, misses, insertions, evictions, entries, bytes: u64)
 //! ```
 //!
-//! A [`ScoreResponse`] cell is the score's `f32` bits; a [`TopKResponse`]
-//! cell is `item u32 · score f32 bits`. Rows are ragged, because an empty
-//! session is answered with an empty row. Scores therefore cross the wire
-//! **bitwise** by construction, −0.0, infinities and NaN payloads
-//! included; the networked equivalence suite pins this at `f32::to_bits`
-//! granularity. The decoders read untrusted bytes: every declared count is
-//! bounded by the bytes that remain before anything is allocated, trailing
-//! bytes are refused, and every malformation is a [`NetError::Wire`].
+//! A request carries the serving [`SubmitOptions`] (deadline budget in µs
+//! and the shed flag, so admission control and deadline expiry propagate
+//! end to end) and the caller's [`TraceCtx`] (so trace trees cross the
+//! boundary; two zero ids mean untraced). Session and trace ids cross at
+//! their full 64 bits, and a snapshot crosses as its raw bytes.
 //!
-//! Requests, errors, the `Hello` handshake and control payloads are UTF-8
-//! JSON built on `embsr_obs`'s in-tree [`JsonValue`]: they are small and
-//! off the scoring path. Request payloads carry three envelopes next to the
-//! sessions: the serving [`SubmitOptions`] (deadline budget in µs + shed
-//! flag, so admission control and deadline expiry propagate end to end),
-//! the [`TraceCtx`] wire form (so trace trees cross the boundary), and for
-//! top-k the cutoff `k`. Session and trace ids stay below 2^53, the
-//! lossless range of the `f64`-backed JSON numbers.
+//! Rows are ragged, because an empty session is answered with an empty
+//! row. A score is its `f32` bits, so scores cross the wire **bitwise** by
+//! construction, −0.0, infinities and NaN payloads included; the networked
+//! equivalence suite pins this at `f32::to_bits` granularity.
+//!
+//! The decoders read untrusted bytes. Every declared count is bounded by
+//! the bytes that remain before anything is allocated, trailing bytes are
+//! refused, and every malformation is a [`NetError::Wire`]: a shed byte
+//! other than 0 or 1, an unknown code or op, a trace context with exactly
+//! one zero id and text that is not UTF-8 included. So every payload that
+//! decodes encodes back to the same bytes.
 
-use embsr_obs::{JsonValue, TraceCtx};
+use embsr_obs::TraceCtx;
 use embsr_sessions::{MicroBehavior, Session};
 use embsr_serve::{
     CacheStats, EngineStatus, ScoreBatch, ScoreResponse, ScoredItem, ServeError, SubmitOptions,
@@ -89,111 +99,104 @@ impl From<ServeError> for NetError {
 }
 
 // ---------------------------------------------------------------------------
-// Shared JSON helpers
+// Fields (see the module docs)
 // ---------------------------------------------------------------------------
 
-fn sessions_to_json(sessions: &[Session]) -> JsonValue {
-    JsonValue::Array(
-        sessions
-            .iter()
-            .map(|s| {
-                JsonValue::object(vec![
-                    ("id", s.id.into()),
-                    (
-                        "events",
-                        JsonValue::Array(
-                            s.events
-                                .iter()
-                                .map(|e| {
-                                    JsonValue::Array(vec![
-                                        (e.item as u64).into(),
-                                        (e.op as u64).into(),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect(),
-    )
+/// A count as its `u32` length field. A count above `u32::MAX` saturates:
+/// such a payload is far above `frame::MAX_PAYLOAD`, so the frame encoder
+/// refuses it before it reaches a socket.
+fn len_field(n: usize) -> [u8; 4] {
+    u32::try_from(n).unwrap_or(u32::MAX).to_le_bytes()
 }
 
-fn field<'v>(v: &'v JsonValue, key: &str) -> Result<&'v JsonValue, NetError> {
-    v.get(key)
-        .ok_or_else(|| NetError::Wire(format!("missing field `{key}`")))
+/// A one-byte tag followed by a `u64`.
+fn tagged(tag: u8, value: u64) -> Vec<u8> {
+    let mut out = vec![tag];
+    out.extend_from_slice(&value.to_le_bytes());
+    out
 }
 
-fn non_negative_int(v: &JsonValue, what: &str) -> Result<u64, NetError> {
-    let raw = v
-        .as_f64()
-        .ok_or_else(|| NetError::Wire(format!("`{what}` is not a number")))?;
-    if raw.is_finite() && raw >= 0.0 && raw.fract() == 0.0 {
-        Ok(raw as u64)
-    } else {
-        Err(NetError::Wire(format!(
-            "`{what}` is not a non-negative integer: {raw}"
-        )))
+/// Appends `len u32 · raw`.
+fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    out.extend_from_slice(&len_field(bytes.len()));
+    out.extend_from_slice(bytes);
+}
+
+fn take<const N: usize>(rest: &mut &[u8], what: &str) -> Result<[u8; N], NetError> {
+    let (head, tail) = rest
+        .split_first_chunk::<N>()
+        .ok_or_else(|| NetError::Wire(format!("payload ends inside the {what}")))?;
+    *rest = tail;
+    Ok(*head)
+}
+
+fn take_len(rest: &mut &[u8], what: &str) -> Result<usize, NetError> {
+    let n = u32::from_le_bytes(take(rest, what)?);
+    usize::try_from(n).map_err(|_| NetError::Wire(format!("{what} {n} overflows usize")))
+}
+
+fn take_u8(rest: &mut &[u8], what: &str) -> Result<u8, NetError> {
+    take(rest, what).map(|[b]| b)
+}
+
+fn take_u64(rest: &mut &[u8], what: &str) -> Result<u64, NetError> {
+    take(rest, what).map(u64::from_le_bytes)
+}
+
+/// Reads a count of entries that each spend at least `min_bytes`, refusing
+/// a count the bytes left cannot hold: a hostile count never sizes an
+/// allocation.
+fn take_count(rest: &mut &[u8], min_bytes: usize, what: &str) -> Result<usize, NetError> {
+    let n = take_len(rest, what)?;
+    if n > rest.len() / min_bytes {
+        return Err(NetError::Wire(format!(
+            "{what} {n} declared with {} byte(s) left",
+            rest.len()
+        )));
     }
+    Ok(n)
 }
 
-fn sessions_from_json(v: &JsonValue) -> Result<Vec<Session>, NetError> {
-    let rows = v
-        .as_array()
-        .ok_or_else(|| NetError::Wire("`sessions` is not an array".into()))?;
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        let id = non_negative_int(field(row, "id")?, "session id")?;
-        let events = field(row, "events")?
-            .as_array()
-            .ok_or_else(|| NetError::Wire("`events` is not an array".into()))?;
-        let mut decoded = Vec::with_capacity(events.len());
-        for ev in events {
-            let pair = ev
-                .as_array()
-                .ok_or_else(|| NetError::Wire("event is not an [item, op] pair".into()))?;
-            if pair.len() != 2 {
-                return Err(NetError::Wire(format!(
-                    "event has {} element(s), expected 2",
-                    pair.len()
-                )));
-            }
-            let item = non_negative_int(&pair[0], "event item")?;
-            let op = non_negative_int(&pair[1], "event op")?;
-            let item = u32::try_from(item)
-                .map_err(|_| NetError::Wire(format!("item id {item} overflows u32")))?;
-            let op = u16::try_from(op)
-                .map_err(|_| NetError::Wire(format!("op id {op} overflows u16")))?;
-            decoded.push(MicroBehavior::new(item, op));
-        }
-        out.push(Session {
-            id,
-            events: decoded,
-        });
+/// Reads a count and that many `N`-byte cells.
+fn take_cells<'a, const N: usize>(
+    rest: &mut &'a [u8],
+    what: &str,
+) -> Result<&'a [[u8; N]], NetError> {
+    let n = take_len(rest, what)?;
+    let (cells, tail) = n
+        .checked_mul(N)
+        .and_then(|bytes| rest.split_at_checked(bytes))
+        .ok_or_else(|| {
+            NetError::Wire(format!(
+                "{what} {n} declared with {} byte(s) left",
+                rest.len()
+            ))
+        })?;
+    *rest = tail;
+    Ok(cells.as_chunks::<N>().0)
+}
+
+fn take_text(rest: &mut &[u8], what: &str) -> Result<String, NetError> {
+    let bytes = take_cells::<1>(rest, what)?.as_flattened();
+    std::str::from_utf8(bytes)
+        .map(str::to_owned)
+        .map_err(|e| NetError::Wire(format!("{what} is not UTF-8: {e}")))
+}
+
+/// Reads a whole payload with `fields`, refusing any byte they leave.
+fn decode_whole<T>(
+    payload: &[u8],
+    fields: impl FnOnce(&mut &[u8]) -> Result<T, NetError>,
+) -> Result<T, NetError> {
+    let mut rest = payload;
+    let value = fields(&mut rest)?;
+    if !rest.is_empty() {
+        return Err(NetError::Wire(format!(
+            "{} trailing byte(s) after the last field",
+            rest.len()
+        )));
     }
-    Ok(out)
-}
-
-fn opts_to_json(opts: SubmitOptions) -> JsonValue {
-    JsonValue::object(vec![
-        ("deadline_us", opts.deadline_us.into()),
-        ("shed", opts.shed.into()),
-    ])
-}
-
-fn opts_from_json(v: &JsonValue) -> Result<SubmitOptions, NetError> {
-    Ok(SubmitOptions {
-        deadline_us: non_negative_int(field(v, "deadline_us")?, "deadline_us")?,
-        shed: field(v, "shed")?
-            .as_bool()
-            .ok_or_else(|| NetError::Wire("`shed` is not a bool".into()))?,
-    })
-}
-
-fn parse_payload(payload: &[u8]) -> Result<JsonValue, NetError> {
-    let text = std::str::from_utf8(payload)
-        .map_err(|e| NetError::Wire(format!("payload is not UTF-8: {e}")))?;
-    embsr_obs::parse_json(text).map_err(|e| NetError::Wire(format!("payload is not JSON: {e}")))
+    Ok(value)
 }
 
 // ---------------------------------------------------------------------------
@@ -211,61 +214,98 @@ pub struct RequestEnvelope {
     pub k: Option<usize>,
 }
 
+/// Writes the request layout; `k` is present for top-k requests only.
+fn encode_request_fields(
+    sessions: &[Session],
+    opts: SubmitOptions,
+    ctx: TraceCtx,
+    k: Option<usize>,
+) -> Vec<u8> {
+    let events: usize = sessions.iter().map(|s| s.events.len()).sum();
+    let mut out = Vec::with_capacity(33 + 12 * sessions.len() + 6 * events);
+    out.extend_from_slice(&opts.deadline_us.to_le_bytes());
+    out.push(u8::from(opts.shed));
+    out.extend_from_slice(&ctx.trace.to_le_bytes());
+    out.extend_from_slice(&ctx.span.to_le_bytes());
+    if let Some(k) = k {
+        // Saturates like a count: `u32::MAX` already exceeds any |V|,
+        // because item ids are `u32`.
+        out.extend_from_slice(&len_field(k));
+    }
+    out.extend_from_slice(&len_field(sessions.len()));
+    for s in sessions {
+        out.extend_from_slice(&s.id.to_le_bytes());
+        out.extend_from_slice(&len_field(s.events.len()));
+        for e in &s.events {
+            out.extend_from_slice(&e.item.to_le_bytes());
+            out.extend_from_slice(&e.op.to_le_bytes());
+        }
+    }
+    out
+}
+
 /// Encodes a [`ScoreBatch`] request payload.
 pub fn encode_score_request(req: &ScoreBatch, opts: SubmitOptions, ctx: TraceCtx) -> Vec<u8> {
-    JsonValue::object(vec![
-        ("sessions", sessions_to_json(&req.sessions)),
-        ("opts", opts_to_json(opts)),
-        ("trace", ctx.to_json_value()),
-    ])
-    .to_json()
-    .into_bytes()
+    encode_request_fields(&req.sessions, opts, ctx, None)
 }
 
 /// Encodes a [`TopK`] request payload.
 pub fn encode_top_k_request(req: &TopK, opts: SubmitOptions, ctx: TraceCtx) -> Vec<u8> {
-    JsonValue::object(vec![
-        ("sessions", sessions_to_json(&req.sessions)),
-        ("k", req.k.into()),
-        ("opts", opts_to_json(opts)),
-        ("trace", ctx.to_json_value()),
-    ])
-    .to_json()
-    .into_bytes()
+    encode_request_fields(&req.sessions, opts, ctx, Some(req.k))
 }
 
-/// Decodes either request payload; `top_k` selects which schema applies.
+/// Decodes either request payload; `top_k` selects which layout applies.
 pub fn decode_request(payload: &[u8], top_k: bool) -> Result<RequestEnvelope, NetError> {
-    let v = parse_payload(payload)?;
-    let sessions = sessions_from_json(field(&v, "sessions")?)?;
-    let opts = opts_from_json(field(&v, "opts")?)?;
-    let ctx = v
-        .get("trace")
-        .map(TraceCtx::from_json_value)
-        .unwrap_or(TraceCtx::NONE);
-    let k = if top_k {
-        Some(non_negative_int(field(&v, "k")?, "k")? as usize)
-    } else {
-        None
-    };
-    Ok(RequestEnvelope {
-        sessions,
-        opts,
-        ctx,
-        k,
+    decode_whole(payload, |rest| {
+        let deadline_us = take_u64(rest, "deadline")?;
+        let shed = match take_u8(rest, "shed flag")? {
+            0 => false,
+            1 => true,
+            other => return Err(NetError::Wire(format!("shed flag {other} is not 0 or 1"))),
+        };
+        let ctx = match (take_u64(rest, "trace id")?, take_u64(rest, "span id")?) {
+            (0, 0) => TraceCtx::NONE,
+            (trace, span) if trace == 0 || span == 0 => {
+                return Err(NetError::Wire(format!(
+                    "trace context ({trace}, {span}) has exactly one zero id"
+                )))
+            }
+            (trace, span) => TraceCtx { trace, span },
+        };
+        let k = if top_k {
+            Some(take_len(rest, "k")?)
+        } else {
+            None
+        };
+        // A session spends at least its id and its event count.
+        let sessions = take_count(rest, 12, "session count")?;
+        let sessions = (0..sessions)
+            .map(|_| {
+                let id = take_u64(rest, "session id")?;
+                let events = take_cells::<6>(rest, "event count")?
+                    .iter()
+                    .map(|&[i0, i1, i2, i3, o0, o1]| {
+                        MicroBehavior::new(
+                            u32::from_le_bytes([i0, i1, i2, i3]),
+                            u16::from_le_bytes([o0, o1]),
+                        )
+                    })
+                    .collect();
+                Ok(Session { id, events })
+            })
+            .collect::<Result<_, NetError>>()?;
+        Ok(RequestEnvelope {
+            sessions,
+            opts: SubmitOptions { deadline_us, shed },
+            ctx,
+            k,
+        })
     })
 }
 
 // ---------------------------------------------------------------------------
-// Responses (little-endian binary; see the module docs)
+// Responses
 // ---------------------------------------------------------------------------
-
-/// A count as its `u32` length field. A count above `u32::MAX` saturates:
-/// such a payload is far above `frame::MAX_PAYLOAD`, so the frame encoder
-/// refuses it before it reaches a socket.
-fn len_field(n: usize) -> [u8; 4] {
-    u32::try_from(n).unwrap_or(u32::MAX).to_le_bytes()
-}
 
 /// Writes the shared response layout with `N`-byte cells.
 fn encode_rows<T, const N: usize>(
@@ -290,57 +330,26 @@ fn encode_rows<T, const N: usize>(
     out
 }
 
-fn take<const N: usize>(rest: &mut &[u8], what: &str) -> Result<[u8; N], NetError> {
-    let (head, tail) = rest
-        .split_first_chunk::<N>()
-        .ok_or_else(|| NetError::Wire(format!("payload ends inside the {what}")))?;
-    *rest = tail;
-    Ok(*head)
-}
-
-fn take_len(rest: &mut &[u8], what: &str) -> Result<usize, NetError> {
-    let n = u32::from_le_bytes(take(rest, what)?);
-    usize::try_from(n).map_err(|_| NetError::Wire(format!("{what} {n} overflows usize")))
-}
-
 /// Reads the shared response layout with `N`-byte cells back into
 /// `(model_version, rows)`.
 fn decode_rows<T, const N: usize>(
     payload: &[u8],
     cell: impl Fn([u8; N]) -> T,
 ) -> Result<(u64, Vec<Vec<T>>), NetError> {
-    let mut rest = payload;
-    let model_version = u64::from_le_bytes(take(&mut rest, "model version")?);
-    let rows = take_len(&mut rest, "row count")?;
-    // Every row spends at least its 4-byte length field.
-    if rows > rest.len() / 4 {
-        return Err(NetError::Wire(format!(
-            "{rows} row(s) declared with {} byte(s) left",
-            rest.len()
-        )));
-    }
-    let mut out = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        let len = take_len(&mut rest, "row length")?;
-        let (row, tail) = len
-            .checked_mul(N)
-            .and_then(|bytes| rest.split_at_checked(bytes))
-            .ok_or_else(|| {
-                NetError::Wire(format!(
-                    "row of {len} {N}-byte cell(s) declared with {} byte(s) left",
-                    rest.len()
-                ))
-            })?;
-        rest = tail;
-        out.push(row.as_chunks::<N>().0.iter().map(|&c| cell(c)).collect());
-    }
-    if !rest.is_empty() {
-        return Err(NetError::Wire(format!(
-            "{} trailing byte(s) after the last row",
-            rest.len()
-        )));
-    }
-    Ok((model_version, out))
+    decode_whole(payload, |rest| {
+        let model_version = take_u64(rest, "model version")?;
+        // Every row spends at least its 4-byte length field.
+        let rows = take_count(rest, 4, "row count")?;
+        let rows = (0..rows)
+            .map(|_| {
+                Ok(take_cells(rest, "row length")?
+                    .iter()
+                    .map(|&c| cell(c))
+                    .collect())
+            })
+            .collect::<Result<_, NetError>>()?;
+        Ok((model_version, rows))
+    })
 }
 
 /// Encodes a [`ScoreResponse`] payload; each cell is one score's `f32`
@@ -390,101 +399,47 @@ pub fn decode_top_k_response(payload: &[u8]) -> Result<TopKResponse, NetError> {
 /// a server replies, the peer's framing succeeded, so what it needs is the
 /// reason its payload was refused.
 pub fn encode_error(err: &NetError) -> Vec<u8> {
-    let (code, fields) = match err {
-        NetError::Overloaded { queued, cap } => (
-            "overloaded",
-            vec![("queued", (*queued).into()), ("cap", (*cap).into())],
-        ),
-        NetError::DeadlineExpired { waited_us } => (
-            "deadline_expired",
-            vec![("waited_us", (*waited_us).into())],
-        ),
-        NetError::Unavailable(msg) => ("unavailable", vec![("message", msg.as_str().into())]),
-        other => ("bad_request", vec![("message", other.to_string().into())]),
+    let text = |code: u8, msg: &str| {
+        let mut out = vec![code];
+        put_bytes(&mut out, msg.as_bytes());
+        out
     };
-    let mut pairs = vec![("code", code.into())];
-    pairs.extend(fields);
-    JsonValue::object(pairs).to_json().into_bytes()
-}
-
-/// Decodes an `ErrorResponse` payload back into a [`NetError`].
-pub fn decode_error(payload: &[u8]) -> NetError {
-    let v = match parse_payload(payload) {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
-    let message = || {
-        v.get("message")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("")
-            .to_string()
-    };
-    match v.get("code").and_then(JsonValue::as_str) {
-        Some("overloaded") => NetError::Overloaded {
-            queued: v
-                .get("queued")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0)
-                .max(0.0) as usize,
-            cap: v
-                .get("cap")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0)
-                .max(0.0) as usize,
-        },
-        Some("deadline_expired") => NetError::DeadlineExpired {
-            waited_us: v
-                .get("waited_us")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0)
-                .max(0.0) as u64,
-        },
-        Some("unavailable") => NetError::Unavailable(message()),
-        Some("bad_request") => NetError::BadRequest(message()),
-        Some(other) => NetError::Wire(format!("unknown error code `{other}`")),
-        None => NetError::Wire("error response without a `code`".into()),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Hex codec (snapshot bytes inside JSON control payloads)
-// ---------------------------------------------------------------------------
-
-const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
-
-/// Lower-case hex encoding; `EMBSRSNP` snapshot bytes ride inside JSON
-/// control payloads this way (the workspace has no base64 and snapshots
-/// are staged rarely, so 2× expansion is acceptable).
-fn hex_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        out.push(HEX_DIGITS[(b >> 4) as usize] as char);
-        out.push(HEX_DIGITS[(b & 0x0f) as usize] as char);
-    }
-    out
-}
-
-fn hex_decode(s: &str) -> Result<Vec<u8>, NetError> {
-    let raw = s.as_bytes();
-    if !raw.len().is_multiple_of(2) {
-        return Err(NetError::Wire(format!(
-            "hex string has odd length {}",
-            raw.len()
-        )));
-    }
-    fn nibble(b: u8) -> Result<u8, NetError> {
-        match b {
-            b'0'..=b'9' => Ok(b - b'0'),
-            b'a'..=b'f' => Ok(b - b'a' + 10),
-            b'A'..=b'F' => Ok(b - b'A' + 10),
-            other => Err(NetError::Wire(format!("invalid hex digit 0x{other:02x}"))),
+    match err {
+        NetError::Overloaded { queued, cap } => {
+            let mut out = tagged(1, *queued as u64);
+            out.extend_from_slice(&(*cap as u64).to_le_bytes());
+            out
         }
+        NetError::DeadlineExpired { waited_us } => tagged(2, *waited_us),
+        NetError::Unavailable(msg) => text(3, msg),
+        NetError::BadRequest(msg) => text(4, msg),
+        other => text(4, &other.to_string()),
     }
-    let mut out = Vec::with_capacity(raw.len() / 2);
-    for pair in raw.chunks_exact(2) {
-        out.push((nibble(pair[0])? << 4) | nibble(pair[1])?);
-    }
-    Ok(out)
+}
+
+fn error_fields(rest: &mut &[u8]) -> Result<NetError, NetError> {
+    let count = |rest: &mut &[u8], what: &str| {
+        let n = take_u64(rest, what)?;
+        usize::try_from(n).map_err(|_| NetError::Wire(format!("{what} {n} overflows usize")))
+    };
+    Ok(match take_u8(rest, "error code")? {
+        1 => NetError::Overloaded {
+            queued: count(rest, "queued")?,
+            cap: count(rest, "cap")?,
+        },
+        2 => NetError::DeadlineExpired {
+            waited_us: take_u64(rest, "waited_us")?,
+        },
+        3 => NetError::Unavailable(take_text(rest, "message")?),
+        4 => NetError::BadRequest(take_text(rest, "message")?),
+        other => return Err(NetError::Wire(format!("unknown error code {other}"))),
+    })
+}
+
+/// Decodes an `ErrorResponse` payload into the [`NetError`] it carries; a
+/// payload that does not decode yields its [`NetError::Wire`] instead.
+pub fn decode_error(payload: &[u8]) -> NetError {
+    decode_whole(payload, error_fields).unwrap_or_else(|e| e)
 }
 
 // ---------------------------------------------------------------------------
@@ -550,52 +505,6 @@ pub struct ServerStatus {
     pub replicas: Vec<EngineStatus>,
 }
 
-fn u64_list_to_json(xs: &[u64]) -> JsonValue {
-    JsonValue::Array(xs.iter().map(|&x| x.into()).collect())
-}
-
-fn u64_list_from_json(v: &JsonValue, what: &str) -> Result<Vec<u64>, NetError> {
-    let rows = v
-        .as_array()
-        .ok_or_else(|| NetError::Wire(format!("`{what}` is not an array")))?;
-    rows.iter().map(|x| non_negative_int(x, what)).collect()
-}
-
-fn engine_status_to_json(s: &EngineStatus) -> JsonValue {
-    JsonValue::object(vec![
-        ("active_version", s.active_version.into()),
-        ("staged", u64_list_to_json(&s.staged)),
-        (
-            "cache",
-            JsonValue::object(vec![
-                ("hits", s.cache.hits.into()),
-                ("misses", s.cache.misses.into()),
-                ("insertions", s.cache.insertions.into()),
-                ("evictions", s.cache.evictions.into()),
-                ("entries", s.cache.entries.into()),
-                ("bytes", s.cache.bytes.into()),
-            ]),
-        ),
-    ])
-}
-
-fn engine_status_from_json(v: &JsonValue) -> Result<EngineStatus, NetError> {
-    let cache = field(v, "cache")?;
-    let counter = |key: &str| non_negative_int(field(cache, key)?, key);
-    Ok(EngineStatus {
-        active_version: non_negative_int(field(v, "active_version")?, "active_version")?,
-        staged: u64_list_from_json(field(v, "staged")?, "staged")?,
-        cache: CacheStats {
-            hits: counter("hits")?,
-            misses: counter("misses")?,
-            insertions: counter("insertions")?,
-            evictions: counter("evictions")?,
-            entries: counter("entries")?,
-            bytes: counter("bytes")?,
-        },
-    })
-}
-
 /// Encodes a [`Request`] into the frame kind + payload to send.
 pub fn encode_request(req: &Request) -> (FrameKind, Vec<u8>) {
     match req {
@@ -607,25 +516,18 @@ pub fn encode_request(req: &Request) -> (FrameKind, Vec<u8>) {
             FrameKind::TopKRequest,
             encode_top_k_request(batch, *opts, *ctx),
         ),
-        Request::Hello { max_version } => (
-            FrameKind::Hello,
-            JsonValue::object(vec![("max_version", (*max_version as u64).into())])
-                .to_json()
-                .into_bytes(),
-        ),
+        Request::Hello { max_version } => (FrameKind::Hello, vec![*max_version]),
         Request::Control(cmd) => {
-            let pairs = match cmd {
-                ControlRequest::LoadSnapshot { version, snapshot } => vec![
-                    ("op", "load_snapshot".into()),
-                    ("version", (*version).into()),
-                    ("snapshot", hex_encode(snapshot).into()),
-                ],
-                ControlRequest::Activate { version } => {
-                    vec![("op", "activate".into()), ("version", (*version).into())]
+            let payload = match cmd {
+                ControlRequest::LoadSnapshot { version, snapshot } => {
+                    let mut out = tagged(1, *version);
+                    put_bytes(&mut out, snapshot);
+                    out
                 }
-                ControlRequest::Status => vec![("op", "status".into())],
+                ControlRequest::Activate { version } => tagged(2, *version),
+                ControlRequest::Status => vec![3],
             };
-            (FrameKind::Control, JsonValue::object(pairs).to_json().into_bytes())
+            (FrameKind::Control, payload)
         }
     }
 }
@@ -655,34 +557,26 @@ pub fn decode_request_frame(kind: FrameKind, payload: &[u8]) -> Result<Request, 
                 ctx: env.ctx,
             })
         }
-        FrameKind::Hello => {
-            let v = parse_payload(payload)?;
-            let max = non_negative_int(field(&v, "max_version")?, "max_version")?;
-            let max_version = u8::try_from(max)
-                .map_err(|_| NetError::Wire(format!("max_version {max} overflows u8")))?;
-            Ok(Request::Hello { max_version })
-        }
-        FrameKind::Control => {
-            let v = parse_payload(payload)?;
-            let op = field(&v, "op")?
-                .as_str()
-                .ok_or_else(|| NetError::Wire("`op` is not a string".into()))?;
-            match op {
-                "load_snapshot" => Ok(Request::Control(ControlRequest::LoadSnapshot {
-                    version: non_negative_int(field(&v, "version")?, "version")?,
-                    snapshot: hex_decode(
-                        field(&v, "snapshot")?
-                            .as_str()
-                            .ok_or_else(|| NetError::Wire("`snapshot` is not a string".into()))?,
-                    )?,
-                })),
-                "activate" => Ok(Request::Control(ControlRequest::Activate {
-                    version: non_negative_int(field(&v, "version")?, "version")?,
-                })),
-                "status" => Ok(Request::Control(ControlRequest::Status)),
-                other => Err(NetError::Wire(format!("unknown control op `{other}`"))),
-            }
-        }
+        FrameKind::Hello => decode_whole(payload, |rest| {
+            Ok(Request::Hello {
+                max_version: take_u8(rest, "max version")?,
+            })
+        }),
+        FrameKind::Control => decode_whole(payload, |rest| {
+            Ok(Request::Control(match take_u8(rest, "control op")? {
+                1 => ControlRequest::LoadSnapshot {
+                    version: take_u64(rest, "snapshot version")?,
+                    snapshot: take_cells::<1>(rest, "snapshot length")?
+                        .as_flattened()
+                        .to_vec(),
+                },
+                2 => ControlRequest::Activate {
+                    version: take_u64(rest, "snapshot version")?,
+                },
+                3 => ControlRequest::Status,
+                other => return Err(NetError::Wire(format!("unknown control op {other}"))),
+            }))
+        }),
         other => Err(NetError::Wire(format!(
             "frame kind {other:?} is not a request"
         ))),
@@ -694,31 +588,30 @@ pub fn encode_response(resp: &Response) -> (FrameKind, Vec<u8>) {
     match resp {
         Response::Scores(r) => (FrameKind::ScoreResponse, encode_score_response(r)),
         Response::Recs(r) => (FrameKind::TopKResponse, encode_top_k_response(r)),
-        Response::HelloAck { version } => (
-            FrameKind::HelloAck,
-            JsonValue::object(vec![("version", (*version as u64).into())])
-                .to_json()
-                .into_bytes(),
-        ),
-        Response::Control(reply) => {
-            let pairs = match reply {
-                ControlReply::Done { version } => {
-                    vec![("op", "done".into()), ("version", (*version).into())]
+        Response::HelloAck { version } => (FrameKind::HelloAck, vec![*version]),
+        Response::Control(ControlReply::Done { version }) => {
+            (FrameKind::ControlReply, tagged(1, *version))
+        }
+        Response::Control(ControlReply::Status(status)) => {
+            let mut out = vec![2];
+            out.extend_from_slice(&len_field(status.replicas.len()));
+            for r in &status.replicas {
+                out.extend_from_slice(&r.active_version.to_le_bytes());
+                out.extend_from_slice(&len_field(r.staged.len()));
+                let c = &r.cache;
+                let counters = [
+                    c.hits,
+                    c.misses,
+                    c.insertions,
+                    c.evictions,
+                    c.entries,
+                    c.bytes,
+                ];
+                for v in r.staged.iter().chain(&counters) {
+                    out.extend_from_slice(&v.to_le_bytes());
                 }
-                ControlReply::Status(status) => vec![
-                    ("op", "status".into()),
-                    (
-                        "replicas",
-                        JsonValue::Array(
-                            status.replicas.iter().map(engine_status_to_json).collect(),
-                        ),
-                    ),
-                ],
-            };
-            (
-                FrameKind::ControlReply,
-                JsonValue::object(pairs).to_json().into_bytes(),
-            )
+            }
+            (FrameKind::ControlReply, out)
         }
         Response::Error(err) => (FrameKind::ErrorResponse, encode_error(err)),
     }
@@ -729,43 +622,49 @@ pub fn decode_response_frame(kind: FrameKind, payload: &[u8]) -> Result<Response
     match kind {
         FrameKind::ScoreResponse => Ok(Response::Scores(decode_score_response(payload)?)),
         FrameKind::TopKResponse => Ok(Response::Recs(decode_top_k_response(payload)?)),
-        FrameKind::ErrorResponse => Ok(Response::Error(decode_error(payload))),
-        FrameKind::HelloAck => {
-            let v = parse_payload(payload)?;
-            let raw = non_negative_int(field(&v, "version")?, "version")?;
-            let version = u8::try_from(raw)
-                .map_err(|_| NetError::Wire(format!("version {raw} overflows u8")))?;
-            if version == 0 || version > VERSION {
-                return Err(NetError::Wire(format!(
-                    "peer negotiated unsupported version {version}"
-                )));
-            }
-            Ok(Response::HelloAck { version })
-        }
-        FrameKind::ControlReply => {
-            let v = parse_payload(payload)?;
-            let op = field(&v, "op")?
-                .as_str()
-                .ok_or_else(|| NetError::Wire("`op` is not a string".into()))?;
-            match op {
-                "done" => Ok(Response::Control(ControlReply::Done {
-                    version: non_negative_int(field(&v, "version")?, "version")?,
-                })),
-                "status" => {
-                    let rows = field(&v, "replicas")?
-                        .as_array()
-                        .ok_or_else(|| NetError::Wire("`replicas` is not an array".into()))?;
-                    let replicas = rows
-                        .iter()
-                        .map(engine_status_from_json)
-                        .collect::<Result<Vec<_>, _>>()?;
-                    Ok(Response::Control(ControlReply::Status(ServerStatus {
-                        replicas,
-                    })))
+        FrameKind::ErrorResponse => decode_whole(payload, error_fields).map(Response::Error),
+        FrameKind::HelloAck => decode_whole(payload, |rest| match take_u8(rest, "version")? {
+            version @ 1..=VERSION => Ok(Response::HelloAck { version }),
+            version => Err(NetError::Wire(format!(
+                "peer negotiated unsupported version {version}"
+            ))),
+        }),
+        FrameKind::ControlReply => decode_whole(payload, |rest| {
+            Ok(Response::Control(match take_u8(rest, "reply code")? {
+                1 => ControlReply::Done {
+                    version: take_u64(rest, "snapshot version")?,
+                },
+                2 => {
+                    // A replica spends at least its active version, its
+                    // staged count and six cache counters.
+                    let replicas = take_count(rest, 60, "replica count")?;
+                    let replicas = (0..replicas)
+                        .map(|_| {
+                            let active_version = take_u64(rest, "active version")?;
+                            let staged = take_cells(rest, "staged count")?
+                                .iter()
+                                .map(|&v| u64::from_le_bytes(v))
+                                .collect();
+                            let mut counter = |what: &str| take_u64(rest, what);
+                            Ok(EngineStatus {
+                                active_version,
+                                staged,
+                                cache: CacheStats {
+                                    hits: counter("hits")?,
+                                    misses: counter("misses")?,
+                                    insertions: counter("insertions")?,
+                                    evictions: counter("evictions")?,
+                                    entries: counter("entries")?,
+                                    bytes: counter("bytes")?,
+                                },
+                            })
+                        })
+                        .collect::<Result<_, NetError>>()?;
+                    ControlReply::Status(ServerStatus { replicas })
                 }
-                other => Err(NetError::Wire(format!("unknown control reply `{other}`"))),
-            }
-        }
+                other => return Err(NetError::Wire(format!("unknown reply code {other}"))),
+            }))
+        }),
         other => Err(NetError::Wire(format!(
             "frame kind {other:?} is not a response"
         ))),

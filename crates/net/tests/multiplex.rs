@@ -13,6 +13,8 @@
 //!   error frame and the connection closes; a `Hello` offering an older
 //!   version gets a typed `BadRequest`; and a client whose `Hello` is
 //!   refused fails its connect with that error instead of reconnecting.
+//! * **Isolation** — a request whose payload does not decode gets its own
+//!   `BadRequest`, and the connection goes on serving the next request.
 
 mod common;
 
@@ -22,7 +24,7 @@ use std::net::{TcpListener, TcpStream};
 use common::{guard, session_pool, ToyModel};
 use embsr_net::frame::{self, Frame, FrameError, FrameKind};
 use embsr_net::{wire, NetClient, NetError, Request, Server, ServerConfig, VERSION};
-use embsr_obs::trace;
+use embsr_obs::{trace, TraceCtx};
 use embsr_serve::{EngineConfig, FrozenModel, ScoreBatch, SubmitOptions, TopK};
 
 const NUM_ITEMS: usize = 24;
@@ -209,9 +211,10 @@ fn frame_of_another_version_gets_an_id0_error_and_the_connection_closes() {
 fn hello_offering_an_older_version_gets_bad_request() {
     let _g = guard();
     let (server, _frozen) = start_server(1, 33);
-    // Version 1 (serial) and version 2 (JSON score/top-k responses) are
-    // both retired.
-    for max_version in [1u8, 2] {
+    // Version 1 (serial), version 2 (JSON score/top-k responses) and
+    // version 3 (JSON requests, errors, handshake and control payloads) are
+    // all retired.
+    for max_version in [1u8, 2, 3] {
         let mut stream = TcpStream::connect(server.addr()).expect("tcp connect");
         let (kind, payload) = wire::encode_request(&Request::Hello { max_version });
         frame::write_frame(&mut stream, &Frame::new(kind, 5, payload)).expect("write hello");
@@ -307,5 +310,62 @@ fn submit_and_blocking_calls_interleave_on_one_connection() {
 
     let resp = pending.wait().expect("pending resolves after later calls");
     assert_bitwise(&want_a, &resp.scores, "pending resolved late");
+    server.shutdown();
+}
+
+#[test]
+fn a_malformed_request_fails_only_itself_on_a_live_connection() {
+    let _g = guard();
+    let (server, frozen) = start_server(1, 43);
+    let sessions = session_pool(3, NUM_ITEMS as u32, 4);
+    let want = frozen.score_batch(&sessions);
+
+    let mut stream = TcpStream::connect(server.addr()).expect("tcp connect");
+    let (kind, payload) = wire::encode_request(&Request::Hello {
+        max_version: VERSION,
+    });
+    frame::write_frame(&mut stream, &Frame::new(kind, 1, payload)).expect("write hello");
+    let ack = frame::read_frame(&mut stream).expect("hello answer");
+    assert_eq!(ack.kind, FrameKind::HelloAck);
+
+    // Request 11 loses its last byte: the payload no longer decodes.
+    let payload = wire::encode_score_request(
+        &ScoreBatch { sessions },
+        SubmitOptions::default(),
+        TraceCtx::NONE,
+    );
+    let truncated = payload[..payload.len() - 1].to_vec();
+    frame::write_frame(
+        &mut stream,
+        &Frame::new(FrameKind::ScoreRequest, 11, truncated),
+    )
+    .expect("write truncated request");
+    let resp = frame::read_frame(&mut stream).expect("answer to request 11");
+    assert_eq!(resp.kind, FrameKind::ErrorResponse);
+    assert_eq!(
+        resp.request_id, 11,
+        "the error answers the malformed request"
+    );
+    match wire::decode_error(&resp.payload) {
+        NetError::BadRequest(msg) => assert!(msg.starts_with("wire: "), "{msg}"),
+        other => panic!("expected BadRequest, got {other:?}"),
+    }
+
+    // The connection stays up: request 12 on the same stream is scored.
+    frame::write_frame(
+        &mut stream,
+        &Frame::new(FrameKind::ScoreRequest, 12, payload),
+    )
+    .expect("write valid request");
+    let resp = frame::read_frame(&mut stream).expect("answer to request 12");
+    assert_eq!(resp.kind, FrameKind::ScoreResponse);
+    assert_eq!(resp.request_id, 12);
+    let got = wire::decode_score_response(&resp.payload).expect("score rows");
+    assert_bitwise(&want, &got.scores, "after a malformed request");
+    assert_eq!(
+        server.stats().bad_requests,
+        1,
+        "only the malformed request failed"
+    );
     server.shutdown();
 }

@@ -1,13 +1,13 @@
 //! Protocol property tests: seeded round-trip fuzzing of the frame codec
-//! and of the binary score/top-k response payloads.
+//! and of every binary payload codec.
 //!
 //! The transport under a real server delivers bytes in arbitrary splits
 //! and coalescings, truncates mid-frame on resets, and (from a hostile
 //! peer) can contain anything at all. The codec's contract is that every
 //! one of those inputs maps to a typed [`FrameError`] or a correct
-//! [`Frame`] — never a panic, never a wrong payload. The response
-//! decoders hold the same contract one layer up, with [`NetError::Wire`],
-//! and carry every score bit for bit.
+//! [`Frame`] — never a panic, never a wrong payload. The payload decoders
+//! hold the same contract one layer up, with [`NetError::Wire`], and carry
+//! every score, id and snapshot byte bit for bit.
 
 use std::io::{self, Read};
 
@@ -15,8 +15,14 @@ use embsr_net::frame::{
     encode, read_frame, write_frame, Frame, FrameError, FrameKind, HEADER_LEN, MAGIC, MAX_PAYLOAD,
     VERSION,
 };
-use embsr_net::{wire, NetError};
-use embsr_serve::{ScoreResponse, ScoredItem, TopKResponse};
+use embsr_net::wire::RequestEnvelope;
+use embsr_net::{wire, ControlReply, ControlRequest, NetError, Request, Response, ServerStatus};
+use embsr_obs::TraceCtx;
+use embsr_serve::{
+    CacheStats, EngineStatus, ScoreBatch, ScoreResponse, ScoredItem, SubmitOptions, TopK,
+    TopKResponse,
+};
+use embsr_sessions::{MicroBehavior, Session};
 
 /// Local SplitMix64 so the fuzz schedule is seeded and reproducible.
 struct Rand(u64);
@@ -269,16 +275,17 @@ fn version_bounds_are_enforced_on_both_paths() {
         version,
         ..Frame::new(FrameKind::ScoreRequest, 1, Vec::new())
     };
-    for version in [0u8, 1, 2, VERSION + 1] {
+    for version in [0u8, 1, 2, 3, VERSION + 1] {
         assert_eq!(
             encode(&frame(version)),
             Err(FrameError::BadVersion(version))
         );
     }
     // ...and decode rejects a zero version byte and the retired versions 1
-    // (serial) and 2 (JSON score/top-k responses) on the wire.
+    // (serial), 2 (JSON score/top-k responses) and 3 (JSON requests, errors,
+    // handshake and control payloads) on the wire.
     let good = encode(&Frame::new(FrameKind::ScoreRequest, 1, Vec::new())).expect("within cap");
-    for version in [0u8, 1, 2] {
+    for version in [0u8, 1, 2, 3] {
         let mut bytes = good.clone();
         bytes[4] = version;
         let mut t = Chunked::new(bytes, 21, 8);
@@ -373,12 +380,125 @@ fn response_payloads_carry_edge_scores_bitwise() {
     }
 }
 
-/// Decodes a response payload and encodes the result again, so `Ok`
-/// carries the canonical bytes of whatever decoded.
-type Reencode = fn(&[u8]) -> Result<Vec<u8>, NetError>;
+#[test]
+fn requests_carry_every_field_bitwise() {
+    const BEYOND_F64: u64 = (1 << 53) + 1;
+    let ev = MicroBehavior::new;
+    let session = |id, events| Session { id, events };
+    let shapes = [
+        Vec::new(),
+        vec![session(0, Vec::new())],
+        vec![
+            session(BEYOND_F64, vec![ev(u32::MAX, u16::MAX), ev(0, 0), ev(7, 3)]),
+            session(u64::MAX, Vec::new()),
+            session(0, vec![ev(1, u16::MAX)]),
+        ],
+    ];
+    let ctxs = [
+        TraceCtx::NONE,
+        TraceCtx {
+            trace: BEYOND_F64,
+            span: BEYOND_F64 + 2,
+        },
+        TraceCtx {
+            trace: u64::MAX,
+            span: u64::MAX - 1,
+        },
+    ];
+    for sessions in &shapes {
+        // deadline_us · shed · trace · span · session count, then per
+        // session its id, event count and 6-byte events.
+        let body: usize = sessions.iter().map(|s| 12 + 6 * s.events.len()).sum();
+        for ctx in ctxs {
+            for deadline_us in [0, u64::MAX] {
+                for shed in [false, true] {
+                    let opts = SubmitOptions { deadline_us, shed };
+                    let want = |k| RequestEnvelope {
+                        sessions: sessions.clone(),
+                        opts,
+                        ctx,
+                        k,
+                    };
+                    let batch = ScoreBatch {
+                        sessions: sessions.clone(),
+                    };
+                    let bytes = wire::encode_score_request(&batch, opts, ctx);
+                    assert_eq!(bytes.len(), 29 + body, "score request layout size");
+                    let got = wire::decode_request(&bytes, false).expect("score request decodes");
+                    assert_eq!(got, want(None));
+                    for k in [0, 20, u32::MAX as usize] {
+                        let batch = TopK {
+                            sessions: sessions.clone(),
+                            k,
+                        };
+                        let bytes = wire::encode_top_k_request(&batch, opts, ctx);
+                        assert_eq!(bytes.len(), 33 + body, "top-k request layout size");
+                        let got =
+                            wire::decode_request(&bytes, true).expect("top-k request decodes");
+                        assert_eq!(got, want(Some(k)));
+                    }
+                }
+            }
+        }
+    }
+    // A `k` above `u32::MAX` saturates on encode; it already exceeds any
+    // vocabulary, because item ids are `u32`.
+    let batch = TopK {
+        sessions: Vec::new(),
+        k: u32::MAX as usize + 1,
+    };
+    let bytes = wire::encode_top_k_request(&batch, SubmitOptions::default(), TraceCtx::NONE);
+    let got = wire::decode_request(&bytes, true).expect("saturated k decodes");
+    assert_eq!(got.k, Some(u32::MAX as usize));
+}
 
-/// Each response codec with a valid, ragged payload of its kind.
-fn response_codecs() -> [(&'static str, Reencode, Vec<u8>); 2] {
+/// Decodes a payload of `kind` and encodes the result again, so `Ok`
+/// carries the canonical bytes of whatever decoded.
+fn reencode(kind: FrameKind, payload: &[u8]) -> Result<Vec<u8>, NetError> {
+    let (again, bytes) = match kind {
+        FrameKind::ScoreRequest
+        | FrameKind::TopKRequest
+        | FrameKind::Hello
+        | FrameKind::Control => wire::encode_request(&wire::decode_request_frame(kind, payload)?),
+        _ => wire::encode_response(&wire::decode_response_frame(kind, payload)?),
+    };
+    assert_eq!(again, kind, "a payload re-encodes as its own kind");
+    Ok(bytes)
+}
+
+/// Every payload codec with a valid payload of its kind: both request
+/// kinds, the handshake, each control op and reply code, each error code,
+/// and both scoring responses.
+fn payload_codecs() -> Vec<(&'static str, FrameKind, Vec<u8>)> {
+    let sessions = vec![
+        Session {
+            id: 5,
+            events: vec![MicroBehavior::new(3, 1), MicroBehavior::new(9, 0)],
+        },
+        Session {
+            id: 6,
+            events: Vec::new(),
+        },
+    ];
+    let opts = SubmitOptions {
+        deadline_us: 5_000,
+        shed: true,
+    };
+    let ctx = TraceCtx { trace: 3, span: 4 };
+    let request = |req| wire::encode_request(&req);
+    let response = |resp| wire::encode_response(&resp);
+    let replica = |active_version, staged| EngineStatus {
+        active_version,
+        staged,
+        cache: CacheStats {
+            hits: 1,
+            misses: 2,
+            insertions: 3,
+            evictions: 4,
+            entries: 5,
+            bytes: 6,
+        },
+    };
     let scores = vec![vec![0.5f32, -1.25], Vec::new(), vec![3.0]];
     let items = vec![
         vec![
@@ -393,67 +513,243 @@ fn response_codecs() -> [(&'static str, Reencode, Vec<u8>); 2] {
         ],
         Vec::new(),
     ];
-    [
+    let table = [
+        (
+            "score request",
+            request(Request::Score {
+                batch: ScoreBatch {
+                    sessions: sessions.clone(),
+                },
+                opts,
+                ctx,
+            }),
+        ),
+        (
+            "top-k request",
+            request(Request::TopK {
+                batch: TopK { sessions, k: 20 },
+                opts,
+                ctx,
+            }),
+        ),
+        (
+            "hello",
+            request(Request::Hello {
+                max_version: VERSION,
+            }),
+        ),
+        (
+            "hello ack",
+            response(Response::HelloAck { version: VERSION }),
+        ),
+        (
+            "load snapshot",
+            request(Request::Control(ControlRequest::LoadSnapshot {
+                version: 7,
+                snapshot: b"EMBSRSNP\x00\xff".to_vec(),
+            })),
+        ),
+        (
+            "activate",
+            request(Request::Control(ControlRequest::Activate { version: 7 })),
+        ),
+        ("status", request(Request::Control(ControlRequest::Status))),
+        (
+            "done",
+            response(Response::Control(ControlReply::Done { version: 7 })),
+        ),
+        (
+            "status reply",
+            response(Response::Control(ControlReply::Status(ServerStatus {
+                replicas: vec![replica(7, vec![3, 7]), replica(0, Vec::new())],
+            }))),
+        ),
+        (
+            "overloaded",
+            response(Response::Error(NetError::Overloaded { queued: 9, cap: 4 })),
+        ),
+        (
+            "deadline expired",
+            response(Response::Error(NetError::DeadlineExpired {
+                waited_us: 1_500,
+            })),
+        ),
+        (
+            "unavailable",
+            response(Response::Error(NetError::Unavailable(
+                "replica engine closed".into(),
+            ))),
+        ),
+        (
+            "bad request",
+            response(Response::Error(NetError::BadRequest("no thanks".into()))),
+        ),
         (
             "score rows",
-            |b| wire::decode_score_response(b).map(|r| wire::encode_score_response(&r)),
-            wire::encode_score_response(&ScoreResponse {
+            response(Response::Scores(ScoreResponse {
                 scores,
                 model_version: 9,
-            }),
+            })),
         ),
         (
             "top-k lists",
-            |b| wire::decode_top_k_response(b).map(|r| wire::encode_top_k_response(&r)),
-            wire::encode_top_k_response(&TopKResponse {
+            response(Response::Recs(TopKResponse {
                 items,
                 model_version: 9,
-            }),
+            })),
         ),
-    ]
+    ];
+    table
+        .into_iter()
+        .map(|(what, (kind, payload))| (what, kind, payload))
+        .collect()
+}
+
+/// Per-layout hostile payloads, each with the text its `NetError::Wire`
+/// must name: counts the bytes left cannot hold, bytes outside their
+/// domain, unknown codes and ops, and text that is not UTF-8.
+fn hostile_payloads() -> Vec<(&'static str, FrameKind, Vec<u8>)> {
+    let max = u32::MAX.to_le_bytes();
+    let few = [0u8; 12];
+    // deadline_us 0 · shed 0 · trace 0 · span 0.
+    let header = [0u8; 25];
+    let with_shed = |shed: u8| [&0u64.to_le_bytes()[..], &[shed], &[0; 16], &[0; 4]].concat();
+    let with_ctx = |trace: u64, span: u64| {
+        [
+            &[0; 9][..],
+            &trace.to_le_bytes(),
+            &span.to_le_bytes(),
+            &[0; 4],
+        ]
+        .concat()
+    };
+    let text = |code: u8| [&[code][..], &2u32.to_le_bytes(), &[0xff, 0xfe]].concat();
+    let mut cases = vec![
+        (
+            "session count",
+            FrameKind::ScoreRequest,
+            [&header[..], &max, &few].concat(),
+        ),
+        (
+            "session count",
+            FrameKind::TopKRequest,
+            [&header[..], &20u32.to_le_bytes(), &max, &few].concat(),
+        ),
+        (
+            "event count",
+            FrameKind::ScoreRequest,
+            [
+                &header[..],
+                &1u32.to_le_bytes(),
+                &5u64.to_le_bytes(),
+                &max,
+                &few,
+            ]
+            .concat(),
+        ),
+        ("shed flag 2", FrameKind::ScoreRequest, with_shed(2)),
+        (
+            "exactly one zero id",
+            FrameKind::ScoreRequest,
+            with_ctx(3, 0),
+        ),
+        (
+            "exactly one zero id",
+            FrameKind::ScoreRequest,
+            with_ctx(0, 4),
+        ),
+        (
+            "snapshot length",
+            FrameKind::Control,
+            [&[1u8][..], &7u64.to_le_bytes(), &max, &few].concat(),
+        ),
+        ("unknown control op 0", FrameKind::Control, vec![0]),
+        ("unknown control op 4", FrameKind::Control, vec![4]),
+        (
+            "replica count",
+            FrameKind::ControlReply,
+            [&[2u8][..], &max, &few].concat(),
+        ),
+        (
+            // One replica declared with exactly its 60 minimum bytes, whose
+            // staged count then overruns them.
+            "staged count",
+            FrameKind::ControlReply,
+            [
+                &[2u8][..],
+                &1u32.to_le_bytes(),
+                &7u64.to_le_bytes(),
+                &max,
+                &[0; 48],
+            ]
+            .concat(),
+        ),
+        ("unknown reply code 0", FrameKind::ControlReply, vec![0]),
+        ("unknown reply code 3", FrameKind::ControlReply, vec![3]),
+        ("unknown error code 0", FrameKind::ErrorResponse, vec![0]),
+        ("unknown error code 5", FrameKind::ErrorResponse, vec![5]),
+        ("not UTF-8", FrameKind::ErrorResponse, text(3)),
+        ("not UTF-8", FrameKind::ErrorResponse, text(4)),
+        ("unsupported version 0", FrameKind::HelloAck, vec![0]),
+        (
+            "unsupported version",
+            FrameKind::HelloAck,
+            vec![VERSION + 1],
+        ),
+    ];
+    // `model_version` then a `u32::MAX` row count, or one row whose length
+    // is `u32::MAX`, followed by a few bytes: refused before allocating.
+    for kind in [FrameKind::ScoreResponse, FrameKind::TopKResponse] {
+        cases.push((
+            "row count",
+            kind,
+            [&9u64.to_le_bytes()[..], &max, &few].concat(),
+        ));
+        cases.push((
+            "row length",
+            kind,
+            [&9u64.to_le_bytes()[..], &1u32.to_le_bytes(), &max, &few].concat(),
+        ));
+    }
+    cases
 }
 
 #[test]
-fn hostile_response_payloads_fail_typed() {
-    // `model_version` then a `u32::MAX` row count, or one row whose length
-    // is `u32::MAX`, followed by a few bytes: refused before allocating.
-    let mut huge_rows = 9u64.to_le_bytes().to_vec();
-    huge_rows.extend_from_slice(&u32::MAX.to_le_bytes());
-    huge_rows.extend_from_slice(&[0u8; 12]);
-    let mut huge_len = 9u64.to_le_bytes().to_vec();
-    huge_len.extend_from_slice(&1u32.to_le_bytes());
-    huge_len.extend_from_slice(&u32::MAX.to_le_bytes());
-    huge_len.extend_from_slice(&[0u8; 12]);
-    for (what, reencode, valid) in response_codecs() {
-        assert_eq!(reencode(&valid), Ok(valid.clone()), "{what}: valid payload");
+fn hostile_payloads_fail_typed() {
+    for (what, kind, valid) in payload_codecs() {
+        assert_eq!(
+            reencode(kind, &valid),
+            Ok(valid.clone()),
+            "{what}: valid payload"
+        );
         for cut in 0..valid.len() {
             assert!(
-                matches!(reencode(&valid[..cut]), Err(NetError::Wire(_))),
+                matches!(reencode(kind, &valid[..cut]), Err(NetError::Wire(_))),
                 "{what}: {cut}-byte prefix"
             );
         }
         let mut trailing = valid.clone();
         trailing.push(0);
-        for (case, bytes) in [
-            ("trailing byte", trailing),
-            ("u32::MAX rows", huge_rows.clone()),
-            ("u32::MAX row length", huge_len.clone()),
-        ] {
-            assert!(
-                matches!(reencode(&bytes), Err(NetError::Wire(_))),
-                "{what}: {case}"
-            );
+        assert!(
+            matches!(reencode(kind, &trailing), Err(NetError::Wire(_))),
+            "{what}: trailing byte"
+        );
+    }
+    for (needle, kind, bytes) in hostile_payloads() {
+        match reencode(kind, &bytes) {
+            Err(NetError::Wire(msg)) => assert!(msg.contains(needle), "{kind:?}: {msg}"),
+            other => panic!("{kind:?} {needle}: expected a wire error, got {other:?}"),
         }
     }
 }
 
 #[test]
-fn random_response_payloads_never_panic_the_decoders() {
+fn random_payloads_never_panic_the_decoders() {
     let mut rng = Rand(0x5C0_4E5);
     for _ in 0..500 {
         let len = rng.below(96) as usize;
         let garbage: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
-        for (what, reencode, valid) in response_codecs() {
+        for (what, kind, valid) in payload_codecs() {
             // A few corrupted bytes of a valid payload get past the count
             // checks that stop most raw garbage early.
             let mut corrupted = valid;
@@ -462,7 +758,7 @@ fn random_response_payloads_never_panic_the_decoders() {
                 corrupted[at] = rng.next() as u8;
             }
             for bytes in [&garbage, &corrupted] {
-                match reencode(bytes) {
+                match reencode(kind, bytes) {
                     Ok(again) => {
                         assert_eq!(&again, bytes, "{what}: decoded bytes re-encode as sent")
                     }

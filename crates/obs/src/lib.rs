@@ -18,11 +18,11 @@
 //!   Hot-path increments are gated on [`metrics::enabled`] (one relaxed
 //!   atomic load when off), so instrumented inner loops cost ~nothing
 //!   unless telemetry is switched on.
-//! * **Tracing** — [`trace`] propagates a (trace id, span id) context
-//!   across threads and emits parent/child span records through the same
-//!   sinks, so a serving request's timeline (queue wait, batch assembly,
-//!   scoring, top-k) is reconstructable offline from the JSONL output via
-//!   [`trace::parse_jsonl`] + [`trace::build_trees`].
+//! * **Tracing** — [`trace`](mod@trace) propagates a (trace id, span id)
+//!   context across threads and emits parent/child span records through
+//!   the same sinks, so a serving request's timeline (queue wait, batch
+//!   assembly, scoring, top-k) is reconstructable offline from the JSONL
+//!   output via [`trace::parse_jsonl`] + [`trace::build_trees`].
 //! * **Profiling** — [`profile`] aggregates kernel timings into
 //!   shape-bucketed rows (thread-local accumulators, one atomic load when
 //!   disabled); [`profile::report`] returns them busiest-first.
@@ -35,8 +35,8 @@
 //!   [`manifest::git_revision`]) to `results/run_<name>.json`, and
 //!   [`manifest::append_bench_entry`] maintains the aggregate
 //!   `BENCH_table3.json` bench trajectory.
-//! * **Micro-benchmarks** — [`bench`] is a tiny criterion-style harness
-//!   (`harness = false` bench binaries) reporting mean/p50/p95 per
+//! * **Micro-benchmarks** — [`bench`](mod@bench) is a tiny criterion-style
+//!   harness (`harness = false` bench binaries) reporting mean/p50/p95 per
 //!   iteration; it doubles as the acceptance gauge for perf PRs.
 //!
 //! The crate is intentionally `std`-only so every other crate in the

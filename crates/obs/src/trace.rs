@@ -98,7 +98,8 @@ fn fresh_id() -> u64 {
     NEXT_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// The (trace id, span id) pair a request carries across threads. `Copy`
+/// The (trace id, span id) pair a request carries across threads, and
+/// across processes as two `u64` fields of an `embsr-net` request. `Copy`
 /// so it can ride inside queue jobs; the all-zero value means "not
 /// traced".
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -117,38 +118,6 @@ impl TraceCtx {
     /// True for [`TraceCtx::NONE`] (tracing was inactive at request start).
     pub fn is_none(&self) -> bool {
         self.trace == 0
-    }
-
-    /// Wire form for propagating the context across a process or network
-    /// boundary: `{"trace": n, "span": n}`. Ids stay below 2^53 (see the
-    /// module docs), so the `f64`-backed JSON numbers are lossless.
-    /// [`TraceCtx::NONE`] encodes as zeros, which [`TraceCtx::from_json_value`]
-    /// maps back to `NONE`.
-    pub fn to_json_value(&self) -> json::JsonValue {
-        json::JsonValue::object(vec![("trace", self.trace.into()), ("span", self.span.into())])
-    }
-
-    /// Inverse of [`TraceCtx::to_json_value`]. Missing or malformed fields
-    /// yield [`TraceCtx::NONE`] — an untraced peer degrades to no tracing,
-    /// never to an error.
-    pub fn from_json_value(v: &json::JsonValue) -> TraceCtx {
-        let num = |key: &str| -> u64 {
-            let raw = v.get(key).and_then(json::JsonValue::as_f64).unwrap_or(0.0);
-            if raw.is_finite() && raw >= 0.0 && raw.fract() == 0.0 {
-                raw as u64
-            } else {
-                0
-            }
-        };
-        let ctx = TraceCtx {
-            trace: num("trace"),
-            span: num("span"),
-        };
-        if ctx.trace == 0 || ctx.span == 0 {
-            TraceCtx::NONE
-        } else {
-            ctx
-        }
     }
 }
 

@@ -15,9 +15,9 @@
 //!   [`EngineConfig::max_batch`] sessions, held open at most
 //!   [`EngineConfig::flush_deadline_us`]; latency, batch-occupancy and
 //!   queue-depth land in `embsr_obs` histograms, and when request tracing
-//!   is on ([`embsr_obs::trace`]) every request emits a reconstructable
-//!   span tree (`score_request` → `queue_wait` / `batch_assembly` /
-//!   `scoring`, plus `top_k` selection).
+//!   is on ([`embsr_obs::trace`](mod@embsr_obs::trace)) every request
+//!   emits a reconstructable span tree (`score_request` → `queue_wait` /
+//!   `batch_assembly` / `scoring`, plus `top_k` selection).
 //!
 //! Serving defaults to the **vectorized kernel tier** with optional
 //! f16/bf16 frozen snapshots ([`snapshot`]). The equivalence contract is

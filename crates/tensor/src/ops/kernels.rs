@@ -59,6 +59,16 @@
 //! kernel tier. The hooks only read a clock around the unchanged
 //! body — one relaxed atomic load when profiling is off, and never a change
 //! to the accumulation order either way.
+//!
+// The module also has outer docs, so rustdoc resolves these links from the
+// parent module; each names its target by full path.
+//! [`MR`]: crate::kernels::MR
+//! [`NR`]: crate::kernels::NR
+//! [`SIMD_MR`]: crate::kernels::SIMD_MR
+//! [`SIMD_NR`]: crate::kernels::SIMD_NR
+//! [`with_tier`]: crate::kernels::with_tier
+//! [`active_tier`]: crate::kernels::active_tier
+//! [`KernelTier::Packed`]: crate::kernels::KernelTier::Packed
 
 use std::cell::Cell;
 

@@ -77,7 +77,7 @@ impl Drop for Inner {
 /// A dense `f32` tensor participating in reverse-mode autodiff.
 ///
 /// `Tensor` is a cheap `Rc` handle; cloning shares the underlying node.
-/// Operations are defined in the [`crate::ops`] modules as inherent methods.
+/// Operations are defined in the `ops` modules as inherent methods.
 #[derive(Clone)]
 pub struct Tensor {
     pub(crate) inner: Rc<Inner>,

@@ -17,6 +17,14 @@
 //!   differences at per-op tolerances over multiple seeds. The workspace
 //!   lint (`cargo run -p xtask -- lint`) fails when an op file has no
 //!   registry entry.
+//!
+// The module also has outer docs, so rustdoc resolves these links from the
+// parent module; each names its target by full path.
+//! [`validate_graph`]: crate::verify::validate_graph
+//! [`validate_training_graph`]: crate::verify::validate_training_graph
+//! [`Diagnostic`]: crate::verify::Diagnostic
+//! [`gradcheck`]: crate::verify::gradcheck
+//! [`gradcheck_specs`]: crate::verify::gradcheck_specs
 
 use std::collections::HashSet;
 use std::fmt;
