@@ -10,9 +10,7 @@
 use embsr_nn::{Embedding, Ffn, Forward, Linear, Module, ModuleCtx};
 use embsr_sessions::Session;
 use embsr_tensor::{Rng, Tensor};
-use embsr_train::SessionModel;
-
-use crate::common::DotScorer;
+use embsr_train::{Head, Scorer, SessionModel};
 
 /// The BERT4Rec baseline.
 pub struct Bert4Rec {
@@ -60,24 +58,6 @@ impl Bert4Rec {
         let att = q.matmul(&k.transpose()).mul_scalar(scale).softmax_rows();
         att.matmul(&v).add(x) // residual
     }
-
-    /// Hidden state at the appended `[MASK]` position (`[d]`).
-    fn session_repr(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
-        let mut idx: Vec<usize> = session.macro_items().iter().map(|&i| i as usize).collect();
-        assert!(!idx.is_empty(), "empty session");
-        if idx.len() > self.max_len {
-            idx.drain(..idx.len() - self.max_len);
-        }
-        idx.push(self.mask_id());
-        let n = idx.len();
-        let pos: Vec<usize> = (0..n).collect();
-        let mut ctx = ModuleCtx::new(training, rng);
-        let mut x = self.items.lookup(&idx).add(&self.positions.lookup(&pos));
-        for _ in 0..self.blocks {
-            x = self.ffn.forward(&self.block(&x), &mut ctx);
-        }
-        x.row(n - 1)
-    }
 }
 
 impl SessionModel for Bert4Rec {
@@ -99,22 +79,30 @@ impl SessionModel for Bert4Rec {
         p
     }
 
-    fn logits(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
-        // score only real items (drop the mask row of the table)
-        let real_items = self.items.weight.slice_rows(0, self.num_items);
-        DotScorer::logits(&self.session_repr(session, training, rng), &real_items)
+    /// Hidden state at the appended `[MASK]` position (`[d]`).
+    fn repr(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
+        let mut idx: Vec<usize> = session.macro_items().iter().map(|&i| i as usize).collect();
+        assert!(!idx.is_empty(), "empty session");
+        if idx.len() > self.max_len {
+            idx.drain(..idx.len() - self.max_len);
+        }
+        idx.push(self.mask_id());
+        let n = idx.len();
+        let pos: Vec<usize> = (0..n).collect();
+        let mut ctx = ModuleCtx::new(training, rng);
+        let mut x = self.items.lookup(&idx).add(&self.positions.lookup(&pos));
+        for _ in 0..self.blocks {
+            x = self.ffn.forward(&self.block(&x), &mut ctx);
+        }
+        x.row(n - 1)
     }
 
-    fn logits_batch(&self, sessions: &[&Session]) -> Tensor {
-        assert!(!sessions.is_empty(), "logits_batch of an empty batch");
-        let mut rng = Rng::seed_from_u64(0); // dropout is off: never drawn from
-        let reprs: Vec<Tensor> = sessions
-            .iter()
-            .map(|s| self.session_repr(s, false, &mut rng))
-            .collect();
-        // the mask-row slice is computed once and amortized across the batch
-        let real_items = self.items.weight.slice_rows(0, self.num_items);
-        DotScorer::logits_rows(&Tensor::stack_rows(&reprs), &real_items)
+    fn head(&self) -> Head {
+        // score only real items (drop the mask row of the table)
+        Head {
+            scorer: Scorer::Dot,
+            items: self.items.weight.slice_rows(0, self.num_items),
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! Building blocks shared by the GNN-family baselines (SR-GNN, GC-SAN,
-//! SGNN-HN, MKM-SR): the normalized session digraph, the gated GNN encoder,
-//! the soft-attention readout, and plain dot-product scoring.
+//! SGNN-HN, MKM-SR): the normalized session digraph, the gated GNN encoder
+//! and the soft-attention readout.
 
 use std::collections::HashMap;
 
@@ -161,29 +161,6 @@ impl Module for AttentionReadout {
     }
 }
 
-/// Plain dot-product scoring against the item table (the scoring used by
-/// the non-normalized baselines).
-pub struct DotScorer;
-
-impl DotScorer {
-    /// `logits[i] = m · emb_i`, shape `[|V|]`.
-    pub fn logits(m: &Tensor, items: &Tensor) -> Tensor {
-        let d = m.len();
-        Self::logits_rows(&m.reshape(&[1, d]), items).reshape(&[items.rows()])
-    }
-
-    /// Batched form: representations `ms` (`[B, d]`) against `items`
-    /// (`[|V|, d]`) in one GEMM, shape `[B, |V|]`; each row is bitwise-equal
-    /// to the single-session [`Self::logits`]. `matmul_nt` consumes the item
-    /// table row-major (the `A·Bᵀ` kernel transpose-packs panels on the
-    /// fly), bitwise-identical to the old `matmul(items.transpose())` but
-    /// without materializing the `[d,|V|]` copy per call.
-    pub fn logits_rows(ms: &Tensor, items: &Tensor) -> Tensor {
-        assert_eq!(items.cols(), ms.cols(), "item table dim mismatch");
-        ms.matmul_nt(items)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,12 +222,5 @@ mod tests {
         let last = steps.row(4);
         let s = r.readout(&steps, &last);
         assert_eq!(s.shape().dims(), &[4]);
-    }
-
-    #[test]
-    fn dot_scorer_matches_manual_product() {
-        let m = Tensor::from_vec(vec![1.0, 2.0], &[2]);
-        let items = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0], &[3, 2]);
-        assert_close(&DotScorer::logits(&m, &items).to_vec(), &[1.0, 2.0, 3.0], 1e-6);
     }
 }

@@ -8,9 +8,7 @@
 use embsr_nn::{Embedding, Module};
 use embsr_sessions::Session;
 use embsr_tensor::{Rng, Tensor};
-use embsr_train::SessionModel;
-
-use crate::common::DotScorer;
+use embsr_train::{Head, Scorer, SessionModel};
 
 /// The session-FPMC baseline.
 pub struct Fpmc {
@@ -31,15 +29,6 @@ impl Fpmc {
             num_items,
         }
     }
-
-    /// The "from" factor of the session's last macro item (`[d]`).
-    fn session_repr(&self, session: &Session) -> Tensor {
-        let last = *session
-            .macro_items()
-            .last()
-            .expect("non-empty session") as usize;
-        self.from.lookup_one(last)
-    }
 }
 
 impl SessionModel for Fpmc {
@@ -57,14 +46,20 @@ impl SessionModel for Fpmc {
         p
     }
 
-    fn logits(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
-        DotScorer::logits(&self.session_repr(session), &self.to.weight)
+    /// The "from" factor of the session's last macro item (`[d]`).
+    fn repr(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
+        let last = *session
+            .macro_items()
+            .last()
+            .expect("non-empty session") as usize;
+        self.from.lookup_one(last)
     }
 
-    fn logits_batch(&self, sessions: &[&Session]) -> Tensor {
-        assert!(!sessions.is_empty(), "logits_batch of an empty batch");
-        let reprs: Vec<Tensor> = sessions.iter().map(|s| self.session_repr(s)).collect();
-        DotScorer::logits_rows(&Tensor::stack_rows(&reprs), &self.to.weight)
+    fn head(&self) -> Head {
+        Head {
+            scorer: Scorer::Dot,
+            items: self.to.weight.clone(),
+        }
     }
 }
 

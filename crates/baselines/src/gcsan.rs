@@ -7,9 +7,9 @@
 use embsr_nn::{Embedding, Ffn, Forward, Linear, Module, ModuleCtx};
 use embsr_sessions::Session;
 use embsr_tensor::{Rng, Tensor};
-use embsr_train::SessionModel;
+use embsr_train::{Head, Scorer, SessionModel};
 
-use crate::common::{DotScorer, GnnEncoder, SessionDigraph};
+use crate::common::{GnnEncoder, SessionDigraph};
 
 /// The GC-SAN baseline.
 pub struct GcSan {
@@ -53,27 +53,6 @@ impl GcSan {
         let scores = q.matmul(&k.transpose()).mul_scalar(scale);
         scores.softmax_rows().matmul(&v)
     }
-
-    /// ω-interpolated session representation (`[d]`).
-    fn session_repr(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
-        assert!(!session.is_empty(), "empty session");
-        let graph = SessionDigraph::from_session(session);
-        let idx: Vec<usize> = graph.nodes.iter().map(|&i| i as usize).collect();
-        let h = self.encoder.encode(&graph, self.items.lookup(&idx));
-        let steps = h.gather_rows(&graph.step_node); // [n, d]
-        let n = steps.rows();
-
-        let mut ctx = ModuleCtx::new(training, rng);
-        let mut e = steps.clone();
-        for _ in 0..self.blocks {
-            e = self.ffn.forward(&self.self_attention(&e), &mut ctx);
-        }
-        let att_last = e.row(n - 1);
-        let gnn_last = steps.row(n - 1);
-        att_last
-            .mul_scalar(self.omega)
-            .add(&gnn_last.mul_scalar(1.0 - self.omega))
-    }
 }
 
 impl SessionModel for GcSan {
@@ -95,18 +74,32 @@ impl SessionModel for GcSan {
         p
     }
 
-    fn logits(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
-        DotScorer::logits(&self.session_repr(session, training, rng), &self.items.weight)
+    /// ω-interpolated session representation (`[d]`).
+    fn repr(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
+        assert!(!session.is_empty(), "empty session");
+        let graph = SessionDigraph::from_session(session);
+        let idx: Vec<usize> = graph.nodes.iter().map(|&i| i as usize).collect();
+        let h = self.encoder.encode(&graph, self.items.lookup(&idx));
+        let steps = h.gather_rows(&graph.step_node); // [n, d]
+        let n = steps.rows();
+
+        let mut ctx = ModuleCtx::new(training, rng);
+        let mut e = steps.clone();
+        for _ in 0..self.blocks {
+            e = self.ffn.forward(&self.self_attention(&e), &mut ctx);
+        }
+        let att_last = e.row(n - 1);
+        let gnn_last = steps.row(n - 1);
+        att_last
+            .mul_scalar(self.omega)
+            .add(&gnn_last.mul_scalar(1.0 - self.omega))
     }
 
-    fn logits_batch(&self, sessions: &[&Session]) -> Tensor {
-        assert!(!sessions.is_empty(), "logits_batch of an empty batch");
-        let mut rng = Rng::seed_from_u64(0); // dropout is off: never drawn from
-        let reprs: Vec<Tensor> = sessions
-            .iter()
-            .map(|s| self.session_repr(s, false, &mut rng))
-            .collect();
-        DotScorer::logits_rows(&Tensor::stack_rows(&reprs), &self.items.weight)
+    fn head(&self) -> Head {
+        Head {
+            scorer: Scorer::Dot,
+            items: self.items.weight.clone(),
+        }
     }
 }
 

@@ -6,8 +6,6 @@ use embsr_sessions::Session;
 use embsr_tensor::{Rng, Tensor};
 use embsr_train::{Head, Scorer, SessionModel};
 
-use crate::common::DotScorer;
-
 /// The GRU4Rec baseline.
 pub struct Gru4Rec {
     items: Embedding,
@@ -24,14 +22,6 @@ impl Gru4Rec {
             gru: Gru::new(dim, dim, &mut rng),
             num_items,
         }
-    }
-
-    /// Last GRU hidden state over the macro-item sequence (`[d]`).
-    fn session_repr(&self, session: &Session) -> Tensor {
-        let idx: Vec<usize> = session.macro_items().iter().map(|&i| i as usize).collect();
-        assert!(!idx.is_empty(), "empty session");
-        let embs = self.items.lookup(&idx);
-        self.gru.last_state(&embs)
     }
 }
 
@@ -50,19 +40,19 @@ impl SessionModel for Gru4Rec {
         p
     }
 
-    fn logits(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
-        DotScorer::logits(&self.session_repr(session), &self.items.weight)
+    /// Last GRU hidden state over the macro-item sequence (`[d]`).
+    fn repr(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
+        let idx: Vec<usize> = session.macro_items().iter().map(|&i| i as usize).collect();
+        assert!(!idx.is_empty(), "empty session");
+        let embs = self.items.lookup(&idx);
+        self.gru.last_state(&embs)
     }
 
-    fn repr_infer(&self, session: &Session) -> Option<Tensor> {
-        Some(self.session_repr(session))
-    }
-
-    fn head(&self) -> Option<Head> {
-        Some(Head {
+    fn head(&self) -> Head {
+        Head {
             scorer: Scorer::Dot,
             items: self.items.weight.clone(),
-        })
+        }
     }
 }
 

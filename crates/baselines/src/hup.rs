@@ -8,9 +8,7 @@
 use embsr_nn::{Embedding, Forward, Gru, Linear, Module};
 use embsr_sessions::Session;
 use embsr_tensor::{uniform_init, Rng, Tensor};
-use embsr_train::SessionModel;
-
-use crate::common::DotScorer;
+use embsr_train::{Head, Scorer, SessionModel};
 
 /// The HUP baseline.
 pub struct Hup {
@@ -39,27 +37,6 @@ impl Hup {
             dim,
         }
     }
-
-    /// Attention-pooled state of the two-level behavior pyramid (`[d]`).
-    fn session_repr(&self, session: &Session) -> Tensor {
-        let steps = session.macro_steps();
-        assert!(!steps.is_empty(), "empty session");
-        // lower level: encode each macro step's op sequence
-        let mut step_vecs = Vec::with_capacity(steps.len());
-        for step in &steps {
-            let op_idx: Vec<usize> = step.ops.iter().map(|&o| o as usize).collect();
-            let op_vec = self.op_gru.last_state(&self.ops.lookup(&op_idx)); // [d]
-            let item_vec = self.items.lookup_one(step.item as usize); // [d]
-            step_vecs.push(item_vec.concat_cols(&op_vec)); // [2d]
-        }
-        // upper level: GRU over per-item vectors
-        let upper_in = Tensor::stack_rows(&step_vecs); // [n, 2d]
-        let hidden = self.item_gru.apply(&upper_in); // [n, d]
-
-        let act = self.att.apply(&hidden).tanh();
-        let alpha = act.matmul(&self.v).transpose().softmax_rows(); // [1, n]
-        alpha.matmul(&hidden).reshape(&[self.dim])
-    }
 }
 
 impl SessionModel for Hup {
@@ -81,14 +58,32 @@ impl SessionModel for Hup {
         p
     }
 
-    fn logits(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
-        DotScorer::logits(&self.session_repr(session), &self.items.weight)
+    /// Attention-pooled state of the two-level behavior pyramid (`[d]`).
+    fn repr(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
+        let steps = session.macro_steps();
+        assert!(!steps.is_empty(), "empty session");
+        // lower level: encode each macro step's op sequence
+        let mut step_vecs = Vec::with_capacity(steps.len());
+        for step in &steps {
+            let op_idx: Vec<usize> = step.ops.iter().map(|&o| o as usize).collect();
+            let op_vec = self.op_gru.last_state(&self.ops.lookup(&op_idx)); // [d]
+            let item_vec = self.items.lookup_one(step.item as usize); // [d]
+            step_vecs.push(item_vec.concat_cols(&op_vec)); // [2d]
+        }
+        // upper level: GRU over per-item vectors
+        let upper_in = Tensor::stack_rows(&step_vecs); // [n, 2d]
+        let hidden = self.item_gru.apply(&upper_in); // [n, d]
+
+        let act = self.att.apply(&hidden).tanh();
+        let alpha = act.matmul(&self.v).transpose().softmax_rows(); // [1, n]
+        alpha.matmul(&hidden).reshape(&[self.dim])
     }
 
-    fn logits_batch(&self, sessions: &[&Session]) -> Tensor {
-        assert!(!sessions.is_empty(), "logits_batch of an empty batch");
-        let reprs: Vec<Tensor> = sessions.iter().map(|s| self.session_repr(s)).collect();
-        DotScorer::logits_rows(&Tensor::stack_rows(&reprs), &self.items.weight)
+    fn head(&self) -> Head {
+        Head {
+            scorer: Scorer::Dot,
+            items: self.items.weight.clone(),
+        }
     }
 }
 

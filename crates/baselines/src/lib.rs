@@ -49,7 +49,7 @@ mod stamp;
 mod stan;
 
 pub use bert4rec::Bert4Rec;
-pub use common::{AttentionReadout, DotScorer, GnnEncoder, SessionDigraph};
+pub use common::{AttentionReadout, GnnEncoder, SessionDigraph};
 pub use factory::{build_baseline, BaselineKind};
 pub use fpmc::Fpmc;
 pub use gcsan::GcSan;

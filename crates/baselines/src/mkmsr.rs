@@ -10,9 +10,9 @@
 use embsr_nn::{Embedding, Forward, Gru, Linear, Module};
 use embsr_sessions::Session;
 use embsr_tensor::{Rng, Tensor};
-use embsr_train::SessionModel;
+use embsr_train::{Head, Scorer, SessionModel};
 
-use crate::common::{AttentionReadout, DotScorer, GnnEncoder, SessionDigraph};
+use crate::common::{AttentionReadout, GnnEncoder, SessionDigraph};
 
 /// The MKM-SR baseline.
 pub struct MkmSr {
@@ -39,23 +39,6 @@ impl MkmSr {
             num_items,
         }
     }
-
-    /// Concatenated item-channel + op-channel representation (`[d]`).
-    fn session_repr(&self, session: &Session) -> Tensor {
-        assert!(!session.is_empty(), "empty session");
-        // item channel: SR-GNN style
-        let graph = SessionDigraph::from_session(session);
-        let idx: Vec<usize> = graph.nodes.iter().map(|&i| i as usize).collect();
-        let h = self.encoder.encode(&graph, self.items.lookup(&idx));
-        let steps = h.gather_rows(&graph.step_node);
-        let s_item = self.readout.readout(&steps, &steps.row(steps.rows() - 1));
-
-        // operation channel: GRU over the *micro* operation sequence
-        let ops: Vec<usize> = session.events.iter().map(|e| e.op as usize).collect();
-        let s_op = self.op_gru.last_state(&self.ops.lookup(&ops));
-
-        self.combine.apply(&s_item.concat_cols(&s_op))
-    }
 }
 
 impl SessionModel for MkmSr {
@@ -77,14 +60,28 @@ impl SessionModel for MkmSr {
         p
     }
 
-    fn logits(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
-        DotScorer::logits(&self.session_repr(session), &self.items.weight)
+    /// Concatenated item-channel + op-channel representation (`[d]`).
+    fn repr(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
+        assert!(!session.is_empty(), "empty session");
+        // item channel: SR-GNN style
+        let graph = SessionDigraph::from_session(session);
+        let idx: Vec<usize> = graph.nodes.iter().map(|&i| i as usize).collect();
+        let h = self.encoder.encode(&graph, self.items.lookup(&idx));
+        let steps = h.gather_rows(&graph.step_node);
+        let s_item = self.readout.readout(&steps, &steps.row(steps.rows() - 1));
+
+        // operation channel: GRU over the *micro* operation sequence
+        let ops: Vec<usize> = session.events.iter().map(|e| e.op as usize).collect();
+        let s_op = self.op_gru.last_state(&self.ops.lookup(&ops));
+
+        self.combine.apply(&s_item.concat_cols(&s_op))
     }
 
-    fn logits_batch(&self, sessions: &[&Session]) -> Tensor {
-        assert!(!sessions.is_empty(), "logits_batch of an empty batch");
-        let reprs: Vec<Tensor> = sessions.iter().map(|s| self.session_repr(s)).collect();
-        DotScorer::logits_rows(&Tensor::stack_rows(&reprs), &self.items.weight)
+    fn head(&self) -> Head {
+        Head {
+            scorer: Scorer::Dot,
+            items: self.items.weight.clone(),
+        }
     }
 }
 

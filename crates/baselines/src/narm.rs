@@ -8,8 +8,6 @@ use embsr_sessions::Session;
 use embsr_tensor::{uniform_init, Rng, Tensor};
 use embsr_train::{Head, Scorer, SessionModel};
 
-use crate::common::DotScorer;
-
 /// The NARM baseline.
 pub struct Narm {
     items: Embedding,
@@ -39,9 +37,29 @@ impl Narm {
             dim,
         }
     }
+}
+
+impl SessionModel for Narm {
+    fn name(&self) -> &str {
+        "NARM"
+    }
+
+    fn num_items(&self) -> usize {
+        self.num_items
+    }
+
+    fn parameters(&self) -> Vec<Tensor> {
+        let mut p = self.items.parameters();
+        p.extend(self.gru.parameters());
+        p.extend(self.att_hidden.parameters());
+        p.extend(self.att_last.parameters());
+        p.push(self.v.clone());
+        p.extend(self.project.parameters());
+        p
+    }
 
     /// Projected `[c_global ; h_last]` session representation (`[d]`).
-    fn session_repr(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
+    fn repr(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
         let idx: Vec<usize> = session.macro_items().iter().map(|&i| i as usize).collect();
         assert!(!idx.is_empty(), "empty session");
         let n = idx.len();
@@ -66,42 +84,12 @@ impl Narm {
             &mut ctx,
         )
     }
-}
 
-impl SessionModel for Narm {
-    fn name(&self) -> &str {
-        "NARM"
-    }
-
-    fn num_items(&self) -> usize {
-        self.num_items
-    }
-
-    fn parameters(&self) -> Vec<Tensor> {
-        let mut p = self.items.parameters();
-        p.extend(self.gru.parameters());
-        p.extend(self.att_hidden.parameters());
-        p.extend(self.att_last.parameters());
-        p.push(self.v.clone());
-        p.extend(self.project.parameters());
-        p
-    }
-
-    fn logits(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
-        let c = self.session_repr(session, training, rng);
-        DotScorer::logits(&c, &self.items.weight)
-    }
-
-    fn repr_infer(&self, session: &Session) -> Option<Tensor> {
-        let mut rng = Rng::seed_from_u64(0); // dropout is off: never drawn from
-        Some(self.session_repr(session, false, &mut rng))
-    }
-
-    fn head(&self) -> Option<Head> {
-        Some(Head {
+    fn head(&self) -> Head {
+        Head {
             scorer: Scorer::Dot,
             items: self.items.weight.clone(),
-        })
+        }
     }
 }
 

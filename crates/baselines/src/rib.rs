@@ -4,9 +4,7 @@
 use embsr_nn::{Embedding, Forward, Gru, Linear, Module};
 use embsr_sessions::Session;
 use embsr_tensor::{uniform_init, Rng, Tensor};
-use embsr_train::SessionModel;
-
-use crate::common::DotScorer;
+use embsr_train::{Head, Scorer, SessionModel};
 
 /// The RIB baseline.
 pub struct Rib {
@@ -33,21 +31,6 @@ impl Rib {
             dim,
         }
     }
-
-    /// Attention-pooled GRU state over micro-behaviors (`[d]`).
-    fn session_repr(&self, session: &Session) -> Tensor {
-        assert!(!session.is_empty(), "empty session");
-        let items: Vec<usize> = session.events.iter().map(|e| e.item as usize).collect();
-        let ops: Vec<usize> = session.events.iter().map(|e| e.op as usize).collect();
-        let ev = self.items.lookup(&items);
-        let eo = self.ops.lookup(&ops);
-        let hidden = self.gru.apply(&ev.concat_cols(&eo)); // [t, d]
-
-        // attention pooling over hidden states
-        let act = self.att.apply(&hidden).tanh();
-        let alpha = act.matmul(&self.v).transpose().softmax_rows(); // [1, t]
-        alpha.matmul(&hidden).reshape(&[self.dim])
-    }
 }
 
 impl SessionModel for Rib {
@@ -68,14 +51,26 @@ impl SessionModel for Rib {
         p
     }
 
-    fn logits(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
-        DotScorer::logits(&self.session_repr(session), &self.items.weight)
+    /// Attention-pooled GRU state over micro-behaviors (`[d]`).
+    fn repr(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
+        assert!(!session.is_empty(), "empty session");
+        let items: Vec<usize> = session.events.iter().map(|e| e.item as usize).collect();
+        let ops: Vec<usize> = session.events.iter().map(|e| e.op as usize).collect();
+        let ev = self.items.lookup(&items);
+        let eo = self.ops.lookup(&ops);
+        let hidden = self.gru.apply(&ev.concat_cols(&eo)); // [t, d]
+
+        // attention pooling over hidden states
+        let act = self.att.apply(&hidden).tanh();
+        let alpha = act.matmul(&self.v).transpose().softmax_rows(); // [1, t]
+        alpha.matmul(&hidden).reshape(&[self.dim])
     }
 
-    fn logits_batch(&self, sessions: &[&Session]) -> Tensor {
-        assert!(!sessions.is_empty(), "logits_batch of an empty batch");
-        let reprs: Vec<Tensor> = sessions.iter().map(|s| self.session_repr(s)).collect();
-        DotScorer::logits_rows(&Tensor::stack_rows(&reprs), &self.items.weight)
+    fn head(&self) -> Head {
+        Head {
+            scorer: Scorer::Dot,
+            items: self.items.weight.clone(),
+        }
     }
 }
 

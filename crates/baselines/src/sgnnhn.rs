@@ -7,12 +7,12 @@
 //! with the NISER-style normalized dot product (`w_k = 12`).
 
 use embsr_nn::{
-    Dropout, Embedding, Forward, GgnnCell, Highway, Linear, Module, ModuleCtx, NormalizedScorer,
-    StarAttention, StarGate,
+    Dropout, Embedding, Forward, GgnnCell, Highway, Linear, Module, ModuleCtx, StarAttention,
+    StarGate,
 };
 use embsr_sessions::Session;
 use embsr_tensor::{uniform_init, Rng, Tensor};
-use embsr_train::SessionModel;
+use embsr_train::{Head, Scorer, SessionModel};
 
 use crate::common::SessionDigraph;
 
@@ -33,7 +33,6 @@ pub struct SgnnHn {
     q: Tensor,
     combine: Linear,
     dropout: Dropout,
-    scorer: NormalizedScorer,
     layers: usize,
     num_items: usize,
     dim: usize,
@@ -61,16 +60,47 @@ impl SgnnHn {
             q: uniform_init(&[dim, 1], &mut rng),
             combine: Linear::new_no_bias(2 * dim, dim, &mut rng),
             dropout: Dropout::new(0.2),
-            scorer: NormalizedScorer::new(12.0),
             layers: 1,
             num_items,
             dim,
             max_len,
         }
     }
+}
+
+impl SessionModel for SgnnHn {
+    fn name(&self) -> &str {
+        "SGNN-HN"
+    }
+
+    fn num_items(&self) -> usize {
+        self.num_items
+    }
+
+    fn parameters(&self) -> Vec<Tensor> {
+        let mut p = self.items.parameters();
+        p.extend(self.positions.parameters());
+        for l in [
+            &self.proj_in,
+            &self.proj_out,
+            &self.pos_proj,
+            &self.att_w1,
+            &self.att_w2,
+            &self.att_w3,
+            &self.combine,
+        ] {
+            p.extend(l.parameters());
+        }
+        p.extend(self.cell.parameters());
+        p.extend(self.star_gate.parameters());
+        p.extend(self.star_attn.parameters());
+        p.extend(self.highway.parameters());
+        p.push(self.q.clone());
+        p
+    }
 
     /// Combined star-graph session representation `m` (`[d]`).
-    fn session_repr(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
+    fn repr(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
         assert!(!session.is_empty(), "empty session");
         let mut ctx = ModuleCtx::new(training, rng);
         let graph = SessionDigraph::from_session(session);
@@ -111,53 +141,12 @@ impl SgnnHn {
         let s_g = alpha_full.mul(&with_pos).sum_rows();
         self.combine.apply(&s_g.concat_cols(&last))
     }
-}
 
-impl SessionModel for SgnnHn {
-    fn name(&self) -> &str {
-        "SGNN-HN"
-    }
-
-    fn num_items(&self) -> usize {
-        self.num_items
-    }
-
-    fn parameters(&self) -> Vec<Tensor> {
-        let mut p = self.items.parameters();
-        p.extend(self.positions.parameters());
-        for l in [
-            &self.proj_in,
-            &self.proj_out,
-            &self.pos_proj,
-            &self.att_w1,
-            &self.att_w2,
-            &self.att_w3,
-            &self.combine,
-        ] {
-            p.extend(l.parameters());
+    fn head(&self) -> Head {
+        Head {
+            scorer: Scorer::Cosine { w_k: 12.0 },
+            items: self.items.weight.clone(),
         }
-        p.extend(self.cell.parameters());
-        p.extend(self.star_gate.parameters());
-        p.extend(self.star_attn.parameters());
-        p.extend(self.highway.parameters());
-        p.push(self.q.clone());
-        p
-    }
-
-    fn logits(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
-        self.scorer
-            .logits(&self.session_repr(session, training, rng), &self.items.weight)
-    }
-
-    fn logits_batch(&self, sessions: &[&Session]) -> Tensor {
-        assert!(!sessions.is_empty(), "logits_batch of an empty batch");
-        let mut rng = Rng::seed_from_u64(0); // dropout is off: never drawn from
-        let reprs: Vec<Tensor> = sessions
-            .iter()
-            .map(|s| self.session_repr(s, false, &mut rng))
-            .collect();
-        self.scorer
-            .logits_rows(&Tensor::stack_rows(&reprs), &self.items.weight)
     }
 }
 

@@ -4,9 +4,9 @@
 use embsr_nn::{Embedding, Module};
 use embsr_sessions::Session;
 use embsr_tensor::{Rng, Tensor};
-use embsr_train::SessionModel;
+use embsr_train::{Head, Scorer, SessionModel};
 
-use crate::common::{AttentionReadout, DotScorer, GnnEncoder, SessionDigraph};
+use crate::common::{AttentionReadout, GnnEncoder, SessionDigraph};
 
 /// The SR-GNN baseline.
 pub struct SrGnn {
@@ -36,14 +36,6 @@ impl SrGnn {
         let h = self.encoder.encode(&graph, self.items.lookup(&idx));
         h.gather_rows(&graph.step_node)
     }
-
-    /// Soft-attention readout over the encoded steps (`[d]`).
-    fn session_repr(&self, session: &Session) -> Tensor {
-        assert!(!session.is_empty(), "empty session");
-        let steps = self.encode_steps(session);
-        let last = steps.row(steps.rows() - 1);
-        self.readout.readout(&steps, &last)
-    }
 }
 
 impl SessionModel for SrGnn {
@@ -62,14 +54,19 @@ impl SessionModel for SrGnn {
         p
     }
 
-    fn logits(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
-        DotScorer::logits(&self.session_repr(session), &self.items.weight)
+    /// Soft-attention readout over the encoded steps (`[d]`).
+    fn repr(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
+        assert!(!session.is_empty(), "empty session");
+        let steps = self.encode_steps(session);
+        let last = steps.row(steps.rows() - 1);
+        self.readout.readout(&steps, &last)
     }
 
-    fn logits_batch(&self, sessions: &[&Session]) -> Tensor {
-        assert!(!sessions.is_empty(), "logits_batch of an empty batch");
-        let reprs: Vec<Tensor> = sessions.iter().map(|s| self.session_repr(s)).collect();
-        DotScorer::logits_rows(&Tensor::stack_rows(&reprs), &self.items.weight)
+    fn head(&self) -> Head {
+        Head {
+            scorer: Scorer::Dot,
+            items: self.items.weight.clone(),
+        }
     }
 }
 

@@ -8,9 +8,7 @@
 use embsr_nn::{Embedding, Forward, Linear, Module};
 use embsr_sessions::Session;
 use embsr_tensor::{uniform_init, Rng, Tensor};
-use embsr_train::SessionModel;
-
-use crate::common::DotScorer;
+use embsr_train::{Head, Scorer, SessionModel};
 
 /// The STAMP baseline.
 pub struct Stamp {
@@ -41,9 +39,28 @@ impl Stamp {
             dim,
         }
     }
+}
+
+impl SessionModel for Stamp {
+    fn name(&self) -> &str {
+        "STAMP"
+    }
+
+    fn num_items(&self) -> usize {
+        self.num_items
+    }
+
+    fn parameters(&self) -> Vec<Tensor> {
+        let mut p = self.items.parameters();
+        for l in [&self.w1, &self.w2, &self.w3, &self.mlp_a, &self.mlp_b] {
+            p.extend(l.parameters());
+        }
+        p.push(self.w0.clone());
+        p
+    }
 
     /// Trilinear session representation `h_s ⊙ h_t` (`[d]`).
-    fn session_repr(&self, session: &Session) -> Tensor {
+    fn repr(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
         let idx: Vec<usize> = session.macro_items().iter().map(|&i| i as usize).collect();
         assert!(!idx.is_empty(), "empty session");
         let n = idx.len();
@@ -68,34 +85,12 @@ impl Stamp {
         let h_t = self.mlp_b.apply(&x_t).tanh();
         h_s.mul(&h_t)
     }
-}
 
-impl SessionModel for Stamp {
-    fn name(&self) -> &str {
-        "STAMP"
-    }
-
-    fn num_items(&self) -> usize {
-        self.num_items
-    }
-
-    fn parameters(&self) -> Vec<Tensor> {
-        let mut p = self.items.parameters();
-        for l in [&self.w1, &self.w2, &self.w3, &self.mlp_a, &self.mlp_b] {
-            p.extend(l.parameters());
+    fn head(&self) -> Head {
+        Head {
+            scorer: Scorer::Dot,
+            items: self.items.weight.clone(),
         }
-        p.push(self.w0.clone());
-        p
-    }
-
-    fn logits(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
-        DotScorer::logits(&self.session_repr(session), &self.items.weight)
-    }
-
-    fn logits_batch(&self, sessions: &[&Session]) -> Tensor {
-        assert!(!sessions.is_empty(), "logits_batch of an empty batch");
-        let reprs: Vec<Tensor> = sessions.iter().map(|s| self.session_repr(s)).collect();
-        DotScorer::logits_rows(&Tensor::stack_rows(&reprs), &self.items.weight)
     }
 }
 

@@ -202,6 +202,7 @@ impl EmbsrConfig {
         assert!(self.num_items > 0 && self.num_ops > 0 && self.dim > 0);
         assert!(self.gnn_layers >= 1 || self.backbone != Backbone::StarGnn);
         assert!(self.max_len >= 2);
+        assert!(self.w_k > 0.0, "w_k must be positive");
         if let FusionMode::Fixed(b) = self.fusion {
             assert!((0.0..=1.0).contains(&b), "β out of range");
         }
@@ -238,6 +239,16 @@ mod tests {
 
         let dy = EmbsrConfig::sgnn_dyadic(10, 4, 8);
         assert!(dy.use_dyadic && !dy.use_op_gru);
+    }
+
+    #[test]
+    #[should_panic(expected = "w_k must be positive")]
+    fn zero_scale_rejected() {
+        EmbsrConfig {
+            w_k: 0.0,
+            ..EmbsrConfig::full(10, 4, 8)
+        }
+        .validate();
     }
 
     #[test]

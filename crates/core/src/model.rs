@@ -2,7 +2,7 @@
 
 use embsr_nn::{
     Dropout, Embedding, Ffn, Forward, FusionGate, GgnnCell, Gru, Highway, Linear, Module,
-    ModuleCtx, NormalizedScorer, OpAwareSelfAttention, StarAttention, StarGate,
+    ModuleCtx, OpAwareSelfAttention, StarAttention, StarGate,
 };
 use embsr_sessions::{Session, SessionGraph};
 use embsr_tensor::{Rng, Tensor};
@@ -36,8 +36,6 @@ pub struct Embsr {
     ffn: Ffn,
     /// Fusion gate (eq. 18).
     fusion: FusionGate,
-    /// Scaled-cosine scorer (eq. 19).
-    scorer: NormalizedScorer,
     /// RNN backbone for the `RNN-Self` variant.
     rnn: Gru,
     dropout: Dropout,
@@ -75,7 +73,6 @@ impl Embsr {
             attention: OpAwareSelfAttention::new(d, ops_v, cfg.max_len + 1, cfg.use_dyadic, &mut rng),
             ffn: Ffn::new(d, cfg.dropout, &mut rng),
             fusion: FusionGate::new(d, cfg.fusion, &mut rng),
-            scorer: NormalizedScorer::new(cfg.w_k),
             rnn: Gru::new(2 * d, d, &mut rng),
             dropout: Dropout::new(cfg.dropout),
             op_importance: Tensor::zeros(&[ops_v, 1]).requires_grad(),
@@ -251,14 +248,64 @@ impl Embsr {
         let eo = self.ops.lookup(&ops); // [t, d]
         self.rnn.apply(&ev.concat_cols(&eo)) // [t, d]
     }
+}
+
+impl SessionModel for Embsr {
+    fn name(&self) -> &str {
+        &self.cfg.name
+    }
+
+    fn num_items(&self) -> usize {
+        self.cfg.num_items
+    }
+
+    fn parameters(&self) -> Vec<Tensor> {
+        // Only the modules the configured forward pass can reach are handed
+        // to the optimizer; anything else would be a detached parameter that
+        // silently never trains (and that the graph validator flags). The
+        // conditions below mirror `repr` exactly: checkpoints stay
+        // positionally consistent because save and load share the config.
+        let star = self.cfg.backbone == Backbone::StarGnn;
+        let op_gru_active = star && self.cfg.use_op_gru;
+        let abs_op_active = self.cfg.use_abs_op && self.cfg.backbone != Backbone::Rnn;
+        let ops_active = self.cfg.backbone == Backbone::Rnn
+            || op_gru_active
+            || abs_op_active
+            || (self.cfg.use_attention && self.cfg.use_abs_op);
+
+        let mut modules: Vec<&dyn Module> = vec![&self.items];
+        if ops_active {
+            modules.push(&self.ops);
+        }
+        if op_gru_active {
+            modules.push(&self.op_gru);
+        }
+        if star {
+            modules.push(&self.msg_in);
+            modules.push(&self.msg_out);
+            modules.push(&self.ggnn);
+            modules.push(&self.star_gate);
+            modules.push(&self.star_attn);
+            modules.push(&self.highway);
+        }
+        if self.cfg.use_attention {
+            modules.push(&self.attention);
+            modules.push(&self.ffn);
+        }
+        let mut p: Vec<Tensor> = modules.iter().flat_map(|m| m.parameters()).collect();
+        p.extend(self.fusion.parameters());
+        if self.cfg.backbone == Backbone::Rnn {
+            p.extend(self.rnn.parameters());
+        }
+        if self.cfg.use_op_weighting && (op_gru_active || abs_op_active) {
+            p.push(self.op_importance.clone());
+        }
+        p
+    }
 
     /// Everything before scoring: encodes the (internally truncated) session
     /// into the fused representation `m ∈ [d]` of eq. 18.
-    ///
-    /// [`SessionModel::logits`] scores one representation at a time;
-    /// batched and served scoring stack many and score them through the
-    /// [`SessionModel::head`], whose item side is prepared once.
-    fn session_repr(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
+    fn repr(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
         assert!(!session.is_empty(), "representation of an empty session");
         let sess = embsr_train::truncate_session(session, self.cfg.max_len);
         let d = self.cfg.dim;
@@ -305,78 +352,12 @@ impl Embsr {
         // --- fusion (eq. 18) ----------------------------------------------
         self.fusion.fuse(&z_s, &x_t)
     }
-}
 
-impl SessionModel for Embsr {
-    fn name(&self) -> &str {
-        &self.cfg.name
-    }
-
-    fn num_items(&self) -> usize {
-        self.cfg.num_items
-    }
-
-    fn parameters(&self) -> Vec<Tensor> {
-        // Only the modules the configured forward pass can reach are handed
-        // to the optimizer; anything else would be a detached parameter that
-        // silently never trains (and that the graph validator flags). The
-        // conditions below mirror `logits` exactly: checkpoints stay
-        // positionally consistent because save and load share the config.
-        let star = self.cfg.backbone == Backbone::StarGnn;
-        let op_gru_active = star && self.cfg.use_op_gru;
-        let abs_op_active = self.cfg.use_abs_op && self.cfg.backbone != Backbone::Rnn;
-        let ops_active = self.cfg.backbone == Backbone::Rnn
-            || op_gru_active
-            || abs_op_active
-            || (self.cfg.use_attention && self.cfg.use_abs_op);
-
-        let mut modules: Vec<&dyn Module> = vec![&self.items];
-        if ops_active {
-            modules.push(&self.ops);
-        }
-        if op_gru_active {
-            modules.push(&self.op_gru);
-        }
-        if star {
-            modules.push(&self.msg_in);
-            modules.push(&self.msg_out);
-            modules.push(&self.ggnn);
-            modules.push(&self.star_gate);
-            modules.push(&self.star_attn);
-            modules.push(&self.highway);
-        }
-        if self.cfg.use_attention {
-            modules.push(&self.attention);
-            modules.push(&self.ffn);
-        }
-        let mut p: Vec<Tensor> = modules.iter().flat_map(|m| m.parameters()).collect();
-        p.extend(self.fusion.parameters());
-        if self.cfg.backbone == Backbone::Rnn {
-            p.extend(self.rnn.parameters());
-        }
-        if self.cfg.use_op_weighting && (op_gru_active || abs_op_active) {
-            p.push(self.op_importance.clone());
-        }
-        p
-    }
-
-    fn logits(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
-        let m = self.session_repr(session, training, rng);
-        self.scorer.logits(&m, &self.items.weight) // (eq. 19)
-    }
-
-    fn repr_infer(&self, session: &Session) -> Option<Tensor> {
-        let mut rng = Rng::seed_from_u64(0); // dropout is off: never drawn from
-        Some(self.session_repr(session, false, &mut rng))
-    }
-
-    fn head(&self) -> Option<Head> {
-        Some(Head {
-            scorer: Scorer::Cosine {
-                w_k: self.scorer.w_k,
-            }, // (eq. 19)
+    fn head(&self) -> Head {
+        Head {
+            scorer: Scorer::Cosine { w_k: self.cfg.w_k }, // (eq. 19)
             items: self.items.weight.clone(),
-        })
+        }
     }
 }
 

@@ -18,12 +18,12 @@ pub fn guard() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Minimal deterministic model with the head seam: the representation is
-/// the mean of the weight rows of the session's items, and the head
-/// dot-scores it against the same weight matrix as the item table. Every
-/// snapshot swap therefore moves the head too, so the hot-swap suites
-/// exercise rebuilding the prepared head, and the engine-level repr cache
-/// engages in networked tests.
+/// Minimal deterministic model: the representation is the mean of the
+/// weight rows of the session's items, and the head dot-scores it against
+/// the same weight matrix as the item table. Every snapshot swap therefore
+/// moves the head too, so the hot-swap suites exercise rebuilding the
+/// prepared head, and the engine-level repr cache engages in networked
+/// tests.
 pub struct ToyModel {
     weight: Tensor,
     num_items: usize,
@@ -37,11 +37,6 @@ impl ToyModel {
             num_items,
         }
     }
-
-    fn mean_row(&self, session: &Session) -> Tensor {
-        let idx: Vec<usize> = session.events.iter().map(|e| e.item as usize).collect();
-        self.weight.gather_rows(&idx).mean_rows()
-    }
 }
 
 impl SessionModel for ToyModel {
@@ -54,19 +49,15 @@ impl SessionModel for ToyModel {
     fn parameters(&self) -> Vec<Tensor> {
         vec![self.weight.clone()]
     }
-    fn logits(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
-        let n = self.num_items;
-        let repr = self.mean_row(session).reshape(&[1, n]);
-        repr.matmul_nt(&self.weight).reshape(&[n])
+    fn repr(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
+        let idx: Vec<usize> = session.events.iter().map(|e| e.item as usize).collect();
+        self.weight.gather_rows(&idx).mean_rows()
     }
-    fn repr_infer(&self, session: &Session) -> Option<Tensor> {
-        Some(self.mean_row(session))
-    }
-    fn head(&self) -> Option<Head> {
-        Some(Head {
+    fn head(&self) -> Head {
+        Head {
             scorer: Scorer::Dot,
             items: self.weight.clone(),
-        })
+        }
     }
 }
 

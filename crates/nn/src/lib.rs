@@ -13,7 +13,9 @@
 //! | [`OpAwareSelfAttention`] | eq. 12–16 — dyadic-relation attention |
 //! | [`Ffn`] | eq. 17 |
 //! | [`FusionGate`] | eq. 18 |
-//! | [`NormalizedScorer`] | eq. 19 — NISER-style scaled cosine scoring |
+//!
+//! The prediction layer (eq. 19, NISER-style scaled cosine scoring) is the
+//! logits head every session model shares, `embsr_train::Head`.
 //!
 //! Layers process one session at a time (shapes `[n, d]`), which matches the
 //! variable-size graphs the model builds per session.
@@ -34,7 +36,6 @@ mod gru;
 mod highway;
 mod linear;
 mod module;
-mod scorer;
 mod star;
 
 pub use attention::OpAwareSelfAttention;
@@ -47,5 +48,4 @@ pub use gru::Gru;
 pub use highway::Highway;
 pub use linear::Linear;
 pub use module::{collect_params, Forward, Module, ModuleCtx};
-pub use scorer::NormalizedScorer;
 pub use star::{StarAttention, StarGate};

@@ -5,8 +5,8 @@
 //! through each composite layer matches central differences.
 
 use embsr_nn::{
-    Ffn, Forward, FusionGate, FusionMode, GgnnCell, Gru, Highway, NormalizedScorer,
-    OpAwareSelfAttention, StarAttention, StarGate,
+    Ffn, Forward, FusionGate, FusionMode, GgnnCell, Gru, Highway, OpAwareSelfAttention,
+    StarAttention, StarGate,
 };
 use embsr_tensor::testing::check_gradient;
 use embsr_tensor::{Rng, Tensor};
@@ -86,15 +86,4 @@ fn fusion_gate_gradcheck() {
     let z = input(&[0.3, -0.4, 0.2], &[3]);
     let x_t = Tensor::from_vec(vec![0.1, 0.6, -0.2], &[3]);
     check_gradient(&z, |t| fg.fuse(t, &x_t).square().sum(), 1e-3, 5e-2);
-}
-
-#[test]
-fn normalized_scorer_gradcheck() {
-    let scorer = NormalizedScorer::new(12.0);
-    let items = Tensor::from_vec(
-        vec![0.5, 0.1, -0.3, 0.8, 0.2, -0.6, 0.4, 0.9, -0.1],
-        &[3, 3],
-    );
-    let m = input(&[0.7, -0.2, 0.4], &[3]);
-    check_gradient(&m, |t| scorer.logits(t, &items).cross_entropy_single(1), 1e-3, 5e-2);
 }

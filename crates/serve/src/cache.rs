@@ -2,11 +2,13 @@
 //! hash, model version) that lets repeat scorers skip the per-session
 //! encoder and go straight to the logits GEMM.
 //!
-//! The cache stores the model's *representation* `[d]` (the input of the
-//! final GEMM), not the `|V|`-length score row — at `d = 32` and
-//! `|V| = 2048` that is 64× less memory per entry, and the GEMM it feeds
-//! is exactly the one `logits_batch` runs, so cached and uncached scores
-//! are **bitwise identical** (the serving equivalence suite pins this).
+//! The cache stores the model's *representation* `[d]` (the output of
+//! `SessionModel::repr`, the input of the head's GEMM), not the
+//! `|V|`-length score row — at `d = 32` and `|V| = 2048` that is 64× less
+//! memory per entry. Every neural model shares that encoder/head boundary,
+//! and a cached repr feeds exactly the GEMM an uncached one does, so cached
+//! and uncached scores are **bitwise identical** (the serving equivalence
+//! suite pins this for every model).
 //!
 //! Correctness does not rest on the hash: every entry also stores the
 //! exact truncated event sequence it was computed from, and a lookup whose

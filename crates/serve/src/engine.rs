@@ -77,9 +77,8 @@ pub struct EngineConfig {
     /// [`ServeError::Overloaded`]. Non-shedding submits ignore the cap.
     pub queue_cap: usize,
     /// Entry capacity of the session-repr cache shared by this engine's
-    /// workers; `0` (the default) disables caching. Only models with the
-    /// head seam ([`SessionModel::head`]) have a repr to cache; others
-    /// score uncached.
+    /// workers; `0` (the default) disables caching. The cache holds each
+    /// session's [`SessionModel::repr`], the input of the head.
     pub repr_cache: usize,
     /// Version tag of the snapshot the engine starts serving; responses
     /// carry the tag of the snapshot that scored them.
@@ -844,7 +843,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::{sess, ReprToyModel, ToyModel};
+    use crate::testing::{sess, ToyModel};
 
     fn frozen(n: usize, seed: u64) -> FrozenModel<ToyModel> {
         FrozenModel::freeze(ToyModel::new(n, seed), 32)
@@ -975,7 +974,7 @@ mod tests {
         assert!(matches!(queued, Err(ServeError::Closed)), "enqueue refused");
     }
 
-    /// [`ToyModel`] whose forward panics on sessions that start at item 0.
+    /// [`ToyModel`] whose encoder panics on sessions that start at item 0.
     struct PoisonedToyModel(ToyModel);
 
     impl SessionModel for PoisonedToyModel {
@@ -988,9 +987,12 @@ mod tests {
         fn parameters(&self) -> Vec<embsr_tensor::Tensor> {
             self.0.parameters()
         }
-        fn logits(&self, s: &Session, t: bool, r: &mut embsr_tensor::Rng) -> embsr_tensor::Tensor {
+        fn repr(&self, s: &Session, t: bool, r: &mut embsr_tensor::Rng) -> embsr_tensor::Tensor {
             assert!(s.events[0].item != 0, "poisoned session");
-            self.0.logits(s, t, r)
+            self.0.repr(s, t, r)
+        }
+        fn head(&self) -> embsr_train::Head {
+            self.0.head()
         }
     }
 
@@ -1256,7 +1258,7 @@ mod tests {
 
     #[test]
     fn repr_cache_keeps_scores_bitwise_and_records_hits() {
-        let f = FrozenModel::freeze(ReprToyModel(ToyModel::new(6, 9)), 32);
+        let f = FrozenModel::freeze(ToyModel::new(6, 9), 32);
         let sessions = vec![sess(&[1, 2]), sess(&[3, 4]), sess(&[1, 2])];
         let want = f.score_batch(&sessions);
         let cfg = EngineConfig {
@@ -1265,7 +1267,7 @@ mod tests {
         };
         let (cold, warm, status) = serve(
             &f,
-            || ReprToyModel(ToyModel::new(6, 9)),
+            || ToyModel::new(6, 9),
             cfg,
             |client| {
                 let cold = client.score(ScoreBatch {

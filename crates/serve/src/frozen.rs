@@ -6,7 +6,7 @@ use std::path::Path;
 
 use embsr_sessions::Session;
 use embsr_tensor::kernels::{self, KernelTier};
-use embsr_tensor::{export_params, import_params, inference_mode, Tensor};
+use embsr_tensor::{export_params, import_params, inference_mode, Rng, Tensor};
 use embsr_train::{truncate_session, PreparedHead, SessionModel};
 
 use crate::api::{top_k_of_row, ScoredItem};
@@ -35,9 +35,9 @@ use crate::snapshot::{self, Precision};
 /// [`FrozenModel::from_snapshot`] (tensors are `Rc`-backed and cannot cross
 /// threads themselves).
 ///
-/// For models with the head seam ([`SessionModel::head`]) every scoring
-/// call takes one path: encode each session (or replay its cached repr),
-/// stack, and score the stack with the model's head, prepared once. The
+/// Every scoring call takes one path: encode each session with
+/// [`SessionModel::repr`] (or replay its cached repr), stack, and score the
+/// stack with the model's [`SessionModel::head`], prepared once. The
 /// prepared head — the item table normalized and packed for this replica's
 /// tier, `|V|·d·4` bytes — is built by the replica's first scoring call and
 /// dropped by every weight import ([`FrozenModel::swap_snapshot`]) and tier
@@ -51,7 +51,7 @@ pub struct FrozenModel<M: SessionModel> {
     tier: KernelTier,
     precision: Precision,
     /// The model's logits head prepared for `tier`; empty until the first
-    /// scoring call of a model with the head seam.
+    /// scoring call.
     head: OnceCell<PreparedHead>,
 }
 
@@ -257,16 +257,15 @@ impl<M: SessionModel> FrozenModel<M> {
 
     /// [`FrozenModel::score_batch`] through the session-repr cache: each
     /// non-empty session's representation is either a cache hit (the
-    /// encoder is skipped entirely) or computed via
-    /// [`SessionModel::repr_infer`] and inserted; the batch then runs the
-    /// same prepared head as the uncached path.
+    /// encoder is skipped entirely) or computed via [`SessionModel::repr`]
+    /// and inserted; the batch then runs the same prepared head as the
+    /// uncached path.
     ///
     /// **Bitwise contract:** every row equals the `score_batch` row at the
     /// same tier. Hits replay the exact `f32` values the encoder produced
     /// (keys verify the exact event sequence, so a hash collision is a
     /// miss, never a wrong answer), and the head consumes identical inputs
-    /// either way. Models without the head seam have no repr to cache and
-    /// score exactly as [`FrozenModel::score_batch`] does.
+    /// either way.
     pub fn score_batch_cached(
         &self,
         sessions: &[Session],
@@ -324,59 +323,44 @@ impl<M: SessionModel> FrozenModel<M> {
             .collect()
     }
 
-    /// Logits `[B, |V|]` for non-empty, truncated sessions. Models with the
-    /// head seam encode each session (or replay its cached repr), stack,
-    /// and run the prepared head; others run their batched forward
-    /// uncached.
+    /// Logits `[B, |V|]` for non-empty, truncated sessions: each session is
+    /// encoded (or its cached repr replayed), the reprs are stacked, and the
+    /// prepared head scores the stack.
     fn logits(&self, sessions: &[Session], cache: Option<(&ReprCache, u64)>) -> Tensor {
-        let Some(head) = self.prepared_head() else {
-            let refs: Vec<&Session> = sessions.iter().collect();
-            return self.model.logits_batch(&refs);
-        };
+        let mut rng = Rng::seed_from_u64(0); // never drawn from: dropout is off
         let reprs: Vec<Tensor> = sessions
             .iter()
-            .filter_map(|s| match cache {
+            .map(|s| match cache {
                 Some((cache, version)) => match cache.lookup(version, &s.events) {
                     Some(v) => {
                         let d = v.len();
-                        Some(Tensor::from_vec(v, &[d]))
+                        Tensor::from_vec(v, &[d])
                     }
                     None => {
-                        let r = self.model.repr_infer(s)?;
+                        let r = self.model.repr(s, false, &mut rng);
                         cache.insert(version, &s.events, r.to_vec());
-                        Some(r)
+                        r
                     }
                 },
-                None => self.model.repr_infer(s),
+                None => self.model.repr(s, false, &mut rng),
             })
             .collect();
-        assert_eq!(
-            reprs.len(),
-            sessions.len(),
-            "{} has a logits head, so repr_infer must answer",
-            self.model.name()
-        );
-        head.logits(&Tensor::stack_rows(&reprs))
+        self.prepared_head().logits(&Tensor::stack_rows(&reprs))
     }
 
-    /// The model's head prepared for this replica's tier, built on first
-    /// use; `None` for models without the head seam.
-    fn prepared_head(&self) -> Option<&PreparedHead> {
-        if let Some(head) = self.head.get() {
-            return Some(head);
-        }
-        let head = self.model.head()?;
-        Some(self.head.get_or_init(|| {
+    /// The model's head prepared for this replica's tier, built on first use.
+    fn prepared_head(&self) -> &PreparedHead {
+        self.head.get_or_init(|| {
             let _span = embsr_obs::span("embsr_serve", "prepare_head");
-            head.prepare(self.tier)
-        }))
+            self.model.head().prepare(self.tier)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::{sess, ReprToyModel, ToyModel};
+    use crate::testing::{sess, ToyModel};
 
     #[test]
     fn snapshot_round_trips_weights() {
@@ -501,7 +485,7 @@ mod tests {
 
     #[test]
     fn cached_scores_are_bitwise_equal_cold_and_warm() {
-        let frozen = FrozenModel::freeze(ReprToyModel(ToyModel::new(8, 3)), 32);
+        let frozen = FrozenModel::freeze(ToyModel::new(8, 3), 32);
         let cache = crate::cache::ReprCache::new(64);
         let sessions = vec![sess(&[1]), sess(&[2, 5]), sess(&[]), sess(&[7, 0, 4])];
         let plain = frozen.score_batch(&sessions);
@@ -518,24 +502,9 @@ mod tests {
     }
 
     #[test]
-    fn models_without_the_repr_seam_fall_back_to_uncached_scoring() {
-        let frozen = FrozenModel::freeze(ToyModel::new(8, 3), 32);
-        let cache = crate::cache::ReprCache::new(64);
-        let sessions = vec![sess(&[1]), sess(&[2, 5])];
-        for _ in 0..2 {
-            assert_eq!(
-                frozen.score_batch_cached(&sessions, &cache, 1),
-                frozen.score_batch(&sessions)
-            );
-        }
-        assert_eq!(cache.stats().entries, 0, "no repr to cache");
-        assert!(frozen.head.get().is_none(), "no head to prepare");
-    }
-
-    #[test]
     fn head_is_prepared_by_the_first_score_and_dropped_by_swaps_and_tier_changes() {
-        let next = FrozenModel::freeze(ReprToyModel(ToyModel::new(6, 8)), 16);
-        let mut live = FrozenModel::freeze(ReprToyModel(ToyModel::new(6, 7)), 16);
+        let next = FrozenModel::freeze(ToyModel::new(6, 8), 16);
+        let mut live = FrozenModel::freeze(ToyModel::new(6, 7), 16);
         let s = [sess(&[1, 3])];
         assert!(live.head.get().is_none(), "freezing alone prepares nothing");
         let before = live.score_batch(&s);
@@ -554,7 +523,7 @@ mod tests {
         assert!(live.head.get().is_none());
         let packed = live.score(&s[0]);
         assert_eq!(live.head.get().map(|h| h.tier()), Some(KernelTier::Packed));
-        let reference = ReprToyModel(ToyModel::new(6, 0));
+        let reference = ToyModel::new(6, 0);
         import_params(&reference.parameters(), next.snapshot());
         let taped = reference.logits_infer(&s[0]).to_vec();
         assert_eq!(

@@ -54,10 +54,12 @@ pub(crate) mod testing {
     use embsr_tensor::{uniform_init, Rng, Tensor};
     use embsr_train::{Head, Scorer, SessionModel};
 
-    /// Minimal deterministic model: logits are the mean of the weight rows
-    /// of the session's items, so scores depend on the whole (truncated)
-    /// session and on the weights — enough to catch snapshot or batching
-    /// mix-ups.
+    /// Minimal deterministic model: the representation is the mean of the
+    /// weight rows of the session's items, and the head dot-scores it
+    /// against the same weight matrix as the item table. Scores depend on
+    /// the whole (truncated) session and on the weights — enough to catch
+    /// snapshot or batching mix-ups — and every weight swap moves the head
+    /// too, so the engine tests exercise rebuilding it.
     pub struct ToyModel {
         weight: Tensor,
         num_items: usize,
@@ -83,43 +85,16 @@ pub(crate) mod testing {
         fn parameters(&self) -> Vec<Tensor> {
             vec![self.weight.clone()]
         }
-        fn logits(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
+        fn repr(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
             let idx: Vec<usize> = session.events.iter().map(|e| e.item as usize).collect();
             assert!(!idx.is_empty(), "empty session");
             self.weight.gather_rows(&idx).mean_rows()
         }
-    }
-
-    /// [`ToyModel`] with the head seam: the representation is ToyModel's
-    /// mean row and the head dot-scores it against the same weight matrix
-    /// as the item table. The head therefore moves with every weight swap,
-    /// so the engine tests exercise rebuilding it; plain `ToyModel` keeps
-    /// the seamless default.
-    pub struct ReprToyModel(pub ToyModel);
-
-    impl SessionModel for ReprToyModel {
-        fn name(&self) -> &str {
-            "ReprToy"
-        }
-        fn num_items(&self) -> usize {
-            self.0.num_items()
-        }
-        fn parameters(&self) -> Vec<Tensor> {
-            self.0.parameters()
-        }
-        fn logits(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
-            let n = self.num_items();
-            let repr = self.0.logits(session, training, rng).reshape(&[1, n]);
-            repr.matmul_nt(&self.0.weight).reshape(&[n])
-        }
-        fn repr_infer(&self, session: &Session) -> Option<Tensor> {
-            Some(self.0.logits_infer(session))
-        }
-        fn head(&self) -> Option<Head> {
-            Some(Head {
+        fn head(&self) -> Head {
+            Head {
                 scorer: Scorer::Dot,
-                items: self.0.weight.clone(),
-            })
+                items: self.weight.clone(),
+            }
         }
     }
 

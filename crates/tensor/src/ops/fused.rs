@@ -7,7 +7,8 @@
 //! The fusions here fall into two equivalence contracts:
 //!
 //! * [`Tensor::normalize_scale_rows`] fuses `l2_normalize_rows(eps)` +
-//!   `mul_scalar(scale)` — the `NormalizedScorer` session-side chain — into
+//!   `mul_scalar(scale)` — the session side of the cosine logits head
+//!   (`embsr_train::Scorer::Cosine`, the paper's eq. 19) — into
 //!   one graph node and one data pass. It is **bitwise-identical** to the
 //!   two-op chain in both forward and backward (every intermediate rounding
 //!   is replicated in the same order), so training and the golden trajectory

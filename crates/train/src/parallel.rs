@@ -609,20 +609,25 @@ fn split_into_shards(chunk: &[(usize, u64)], max_shards: usize) -> Vec<Vec<(usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Head, Scorer};
     use embsr_sessions::{MicroBehavior, Session};
     use embsr_tensor::uniform_init;
 
-    /// A bigram model whose logits are perturbed by dropout-style noise
-    /// during training, so the tests exercise the derived RNG streams, not
-    /// just the gradient math.
+    /// A factorized bigram model (the last item's context row dot-scored
+    /// against an item table) whose representation is perturbed by
+    /// dropout-style noise during training, so the tests exercise the
+    /// derived RNG streams, not just the gradient math.
     struct NoisyBigram {
-        table: Tensor, // [V, V]
+        context: Tensor, // [V, d]
+        items: Tensor,   // [V, d]
     }
 
     impl NoisyBigram {
         fn new(v: usize, seed: u64) -> Self {
+            let mut rng = Rng::seed_from_u64(seed);
             NoisyBigram {
-                table: uniform_init(&[v, v], &mut Rng::seed_from_u64(seed)),
+                context: uniform_init(&[v, 4], &mut rng),
+                items: uniform_init(&[v, 4], &mut rng),
             }
         }
     }
@@ -632,22 +637,28 @@ mod tests {
             "NoisyBigram"
         }
         fn num_items(&self) -> usize {
-            self.table.rows()
+            self.items.rows()
         }
         fn parameters(&self) -> Vec<Tensor> {
-            vec![self.table.clone()]
+            vec![self.context.clone(), self.items.clone()]
         }
-        fn logits(&self, s: &Session, training: bool, rng: &mut Rng) -> Tensor {
+        fn repr(&self, s: &Session, training: bool, rng: &mut Rng) -> Tensor {
             let last = match s.events.last() {
                 Some(e) => e.item as usize,
                 None => 0,
             };
-            let row = self.table.row(last);
+            let row = self.context.row(last);
             if training {
                 // multiplicative noise driven by the per-example stream
                 row.mul_scalar(1.0 + rng.uniform_range(-0.05, 0.05))
             } else {
                 row
+            }
+        }
+        fn head(&self) -> Head {
+            Head {
+                scorer: Scorer::Dot,
+                items: self.items.clone(),
             }
         }
     }

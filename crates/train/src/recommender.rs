@@ -31,10 +31,11 @@ pub trait Recommender {
     /// Takes references (mirroring [`SessionModel::logits_batch`]) so bulk
     /// callers like the eval harness can batch without cloning every
     /// session's event vector. The default loops over
-    /// [`Recommender::scores`], so every implementor is batchable; neural
-    /// models override it with a genuinely batched, tape-free forward (see
-    /// `NeuralRecommender`). Row `i` must equal `self.scores(sessions[i])`
-    /// — the serving equivalence suite holds overrides to bitwise equality.
+    /// [`Recommender::scores`], so every implementor is batchable;
+    /// `NeuralRecommender` overrides it with the tape-free
+    /// [`SessionModel::logits_batch`], which every neural model shares. Row
+    /// `i` must equal `self.scores(sessions[i])` — the serving equivalence
+    /// suite holds every neural model to bitwise equality.
     fn scores_batch(&self, sessions: &[&Session]) -> Vec<Vec<f32>> {
         sessions.iter().map(|&s| self.scores(s)).collect()
     }
@@ -48,6 +49,12 @@ pub trait Recommender {
 }
 
 /// A differentiable next-item model trained by the shared [`crate::Trainer`].
+///
+/// Every model is an encoder plus a head: [`SessionModel::repr`] encodes a
+/// session into a `[d]` representation and [`SessionModel::head`] scores it
+/// against the item table. Those two are the only scoring methods a model
+/// states; every logits path below is built from them, so a model's
+/// batched, cached and served rows are its training rows by construction.
 pub trait SessionModel {
     /// Model name.
     fn name(&self) -> &str;
@@ -58,16 +65,31 @@ pub trait SessionModel {
     /// All trainable parameters.
     fn parameters(&self) -> Vec<Tensor>;
 
-    /// Logits `[|V|]` for the next item after `session`.
+    /// Session representation `[d]`: everything the model computes before
+    /// the head.
     ///
     /// `training` toggles dropout; `rng` drives it.
-    fn logits(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor;
+    fn repr(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor;
 
-    /// Inference-time logits `[|V|]`: no dropout, no RNG to thread.
+    /// The logits head: the scorer and the `[|V|, d]` item table the
+    /// representation is compared against. Its tensors share the model's
+    /// parameter storage.
+    fn head(&self) -> Head;
+
+    /// Logits `[|V|]` for the next item after `session`: the
+    /// [`SessionModel::repr`] scored by the taped [`Head::logits`].
     ///
-    /// Eval-time callers used to pass `training = false` plus a dummy RNG
-    /// into [`SessionModel::logits`]; this is the same forward without the
-    /// ceremony. The default delegates, so implementors get it for free.
+    /// `training` toggles dropout; `rng` drives it.
+    fn logits(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
+        let repr = self.repr(session, training, rng);
+        let d = repr.len();
+        let head = self.head();
+        let v = head.items.rows();
+        head.logits(&repr.reshape(&[1, d])).reshape(&[v])
+    }
+
+    /// Inference-time logits `[|V|]`: [`SessionModel::logits`] with dropout
+    /// off and no RNG to thread.
     fn logits_infer(&self, session: &Session) -> Tensor {
         let mut rng = Rng::seed_from_u64(0); // never drawn from: dropout is off
         self.logits(session, false, &mut rng)
@@ -76,65 +98,39 @@ pub trait SessionModel {
     /// Inference-time logits for a batch of sessions, shape `[B, |V|]` with
     /// row `i` scoring `sessions[i]`.
     ///
-    /// Models with the factored seam ([`SessionModel::head`]) get one path:
-    /// each session encoded by [`SessionModel::repr_infer`], the reprs
-    /// stacked, and a single head GEMM against the item table, prepared for
-    /// the calling thread's kernel tier. Other models stack per-session
-    /// [`SessionModel::logits_infer`] rows unless they override this to
-    /// share work across the batch. Either way every row is bitwise-equal
-    /// to the per-session path (GEMM rows are independent sequential dot
-    /// products).
+    /// Each session is encoded by [`SessionModel::repr`], the reprs are
+    /// stacked, and one GEMM scores the stack against the head prepared for
+    /// the calling thread's kernel tier. Every row is bitwise-equal to the
+    /// per-session path (GEMM rows are independent sequential dot products).
     fn logits_batch(&self, sessions: &[&Session]) -> Tensor {
         assert!(!sessions.is_empty(), "logits_batch of an empty batch");
-        if let Some(head) = self.head() {
-            let reprs: Vec<Tensor> = sessions.iter().filter_map(|s| self.repr_infer(s)).collect();
-            assert_eq!(
-                reprs.len(),
-                sessions.len(),
-                "{} has a logits head, so repr_infer must answer",
-                self.name()
-            );
-            return head
-                .prepare(kernels::active_tier())
-                .logits(&Tensor::stack_rows(&reprs));
-        }
-        let rows: Vec<Tensor> = sessions
+        let mut rng = Rng::seed_from_u64(0); // never drawn from: dropout is off
+        let reprs: Vec<Tensor> = sessions
             .iter()
-            .map(|s| {
-                let y = self.logits_infer(s);
-                let n = y.len();
-                y.reshape(&[1, n])
-            })
+            .map(|s| self.repr(s, false, &mut rng))
             .collect();
-        Tensor::concat_rows(&rows)
+        self.head()
+            .prepare(kernels::active_tier())
+            .logits(&Tensor::stack_rows(&reprs))
     }
 
-    /// Inference-time session representation `[d]` — the model state right
-    /// before the logits head, when the model has such a seam.
+    /// Inference-time session representation `[d]`:
+    /// [`SessionModel::repr`] with dropout off.
     ///
-    /// Must be `Some` exactly when [`SessionModel::head`] is. The contract
-    /// that makes the serving-side repr cache sound: for any batch, stacking
-    /// `repr_infer` rows and scoring them with the head must reproduce the
-    /// model's own `logits` rows **bitwise** (same kernel tier, same
-    /// inference mode). Models whose forward does not factor this way keep
-    /// the default `None`, which disables caching for them.
+    /// Always `Some`. The `Option` remains only because the standalone
+    /// `perfbench` package unwraps it; the next change to that package
+    /// makes this return a plain `Tensor`.
     fn repr_infer(&self, session: &Session) -> Option<Tensor> {
-        let _ = session;
-        None
-    }
-
-    /// The model's logits head — its scorer and item table — when its
-    /// forward factors through [`SessionModel::repr_infer`]. Serving
-    /// prepares it once per weight version ([`Head::prepare`]).
-    fn head(&self) -> Option<Head> {
-        None
+        let mut rng = Rng::seed_from_u64(0); // never drawn from: dropout is off
+        Some(self.repr(session, false, &mut rng))
     }
 
     /// Logits `[B, |V|]` from stacked representations `[B, d]`: the
-    /// [`SessionModel::head`] prepared for the calling thread's kernel tier,
-    /// `None` for models without one.
+    /// [`SessionModel::head`] prepared for the calling thread's kernel tier.
+    ///
+    /// Always `Some`, for the same reason as [`SessionModel::repr_infer`].
     fn logits_of_reprs(&self, reprs: &Tensor) -> Option<Tensor> {
-        Some(self.head()?.prepare(kernels::active_tier()).logits(reprs))
+        Some(self.head().prepare(kernels::active_tier()).logits(reprs))
     }
 }
 
@@ -207,7 +203,8 @@ mod tests {
     use super::*;
     use embsr_sessions::MicroBehavior;
 
-    /// A trivial bigram-count "neural" model used to exercise the adapter.
+    /// A trivial "neural" model used to exercise the adapter: a zero
+    /// representation, so every item scores 0.
     struct Uniform {
         n: usize,
     }
@@ -222,8 +219,14 @@ mod tests {
         fn parameters(&self) -> Vec<Tensor> {
             Vec::new()
         }
-        fn logits(&self, _s: &Session, _t: bool, _r: &mut Rng) -> Tensor {
-            Tensor::zeros(&[self.n])
+        fn repr(&self, _s: &Session, _t: bool, _r: &mut Rng) -> Tensor {
+            Tensor::zeros(&[2])
+        }
+        fn head(&self) -> Head {
+            Head {
+                scorer: crate::Scorer::Dot,
+                items: Tensor::ones(&[self.n, 2]),
+            }
         }
     }
 

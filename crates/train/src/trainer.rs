@@ -303,20 +303,23 @@ pub(crate) fn validate_loss_graph(loss: &Tensor, params: &[Tensor]) -> Vec<Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Head, Scorer};
     use embsr_sessions::MicroBehavior;
     use embsr_tensor::uniform_init;
 
-    /// A minimal trainable model: per-item bias plus a bigram table row
-    /// selected by the last item. Enough structure to verify that the loop
-    /// actually reduces the loss.
+    /// A minimal trainable model: a factorized bigram. The last item's
+    /// context row is dot-scored against an item table. Enough structure to
+    /// verify that the loop actually reduces the loss.
     struct Bigram {
-        table: Tensor, // [V, V]
+        context: Tensor, // [V, d]
+        items: Tensor,   // [V, d]
     }
 
     impl Bigram {
         fn new(v: usize, rng: &mut Rng) -> Self {
             Bigram {
-                table: uniform_init(&[v, v], rng),
+                context: uniform_init(&[v, 4], rng),
+                items: uniform_init(&[v, 4], rng),
             }
         }
     }
@@ -326,14 +329,20 @@ mod tests {
             "Bigram"
         }
         fn num_items(&self) -> usize {
-            self.table.rows()
+            self.items.rows()
         }
         fn parameters(&self) -> Vec<Tensor> {
-            vec![self.table.clone()]
+            vec![self.context.clone(), self.items.clone()]
         }
-        fn logits(&self, s: &Session, _t: bool, _r: &mut Rng) -> Tensor {
+        fn repr(&self, s: &Session, _t: bool, _r: &mut Rng) -> Tensor {
             let last = s.events.last().expect("non-empty").item as usize;
-            self.table.row(last)
+            self.context.row(last)
+        }
+        fn head(&self) -> Head {
+            Head {
+                scorer: Scorer::Dot,
+                items: self.items.clone(),
+            }
         }
     }
 
@@ -413,8 +422,11 @@ mod tests {
             p.push(self.orphan.clone());
             p
         }
-        fn logits(&self, s: &Session, t: bool, r: &mut Rng) -> Tensor {
-            self.inner.logits(s, t, r)
+        fn repr(&self, s: &Session, t: bool, r: &mut Rng) -> Tensor {
+            self.inner.repr(s, t, r)
+        }
+        fn head(&self) -> Head {
+            self.inner.head()
         }
     }
 

@@ -5,6 +5,12 @@
 //! [`SessionModel`] — the trait EMBSR itself implements — and runs it
 //! through the same `Trainer`/`evaluate` pipeline as the paper's models.
 //!
+//! A model states two scoring methods, like every model in the workspace:
+//! `repr` encodes a session into a `[d]` representation, and `head` names
+//! the scorer and the `[|V|, d]` item table that representation is compared
+//! against. Training logits, batched evaluation, the serving repr cache and
+//! the prepared serving head are all built from those two.
+//!
 //! ```bash
 //! cargo run --release -p embsr-bench --example custom_model
 //! ```
@@ -14,7 +20,7 @@ use embsr_eval::evaluate;
 use embsr_nn::{Embedding, Forward, Linear, Module};
 use embsr_sessions::Session;
 use embsr_tensor::{Rng, Tensor};
-use embsr_train::{NeuralRecommender, Recommender, SessionModel, TrainConfig};
+use embsr_train::{Head, NeuralRecommender, Recommender, Scorer, SessionModel, TrainConfig};
 
 /// `score(v | session) = (W · e_last) · e_v` — a learned bigram model.
 struct LastItemBilinear {
@@ -49,13 +55,21 @@ impl SessionModel for LastItemBilinear {
         p
     }
 
-    fn logits(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
+    /// The encoder: `W · e_last` (`[d]`). `training` and `rng` would drive
+    /// dropout; this model has none.
+    fn repr(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
         let last = session.events.last().expect("non-empty session").item as usize;
-        let q = self.w.apply(&self.items.lookup_one(last)); // [d]
-        let d = q.len();
-        q.reshape(&[1, d])
-            .matmul(&self.items.weight.transpose())
-            .reshape(&[self.num_items])
+        self.w.apply(&self.items.lookup_one(last))
+    }
+
+    /// The head: plain dot products against the item embeddings.
+    /// `Scorer::Cosine { w_k }` would score scaled cosines instead, as EMBSR
+    /// does (eq. 19).
+    fn head(&self) -> Head {
+        Head {
+            scorer: Scorer::Dot,
+            items: self.items.weight.clone(),
+        }
     }
 }
 

@@ -27,7 +27,9 @@
 //!   step, so some rank flip is unavoidable and the right gate for the
 //!   rounding is magnitude, not order).
 
-use embsr_baselines::{Gru4Rec, Narm};
+use embsr_baselines::{
+    Bert4Rec, Fpmc, GcSan, Gru4Rec, Hup, MkmSr, Narm, Rib, SgnnHn, SrGnn, Stamp,
+};
 use embsr_core::{Embsr, EmbsrConfig};
 use embsr_eval::{hit_at_k, rank_of_target, reciprocal_rank_at_k};
 use embsr_serve::{top_k_of_row, FrozenModel, KernelTier, Precision, ReprCache};
@@ -179,108 +181,18 @@ fn assert_epsilon_and_metric_identity<M: SessionModel>(
     assert_eq!(mrrs.0.to_bits(), mrrs.1.to_bits(), "{label}: aggregate MRR@20");
 }
 
-fn embsr_pair(seed: u64) -> (Embsr, Embsr) {
-    let mut cfg = EmbsrConfig::full(NUM_ITEMS, NUM_OPS, DIM);
+/// EMBSR in the configuration `variant` builds, initialized from `seed`.
+fn embsr(variant: fn(usize, usize, usize) -> EmbsrConfig, seed: u64) -> Embsr {
+    let mut cfg = variant(NUM_ITEMS, NUM_OPS, DIM);
     cfg.seed = seed;
-    (Embsr::new(cfg.clone()), Embsr::new(cfg))
+    Embsr::new(cfg)
 }
 
-// ---------------------------------------------------------------------------
-// Packed tier: bitwise with the taped path (the historical contract)
-// ---------------------------------------------------------------------------
-
-#[test]
-fn embsr_packed_tier_is_bitwise_equal_to_taped() {
-    for seed in SEEDS {
-        let (a, b) = embsr_pair(seed);
-        assert_packed_bitwise(a, b, seed);
-    }
-}
-
-#[test]
-fn gru4rec_packed_tier_is_bitwise_equal_to_taped() {
-    for seed in SEEDS {
-        assert_packed_bitwise(
-            Gru4Rec::new(NUM_ITEMS, DIM, seed),
-            Gru4Rec::new(NUM_ITEMS, DIM, seed),
-            seed,
-        );
-    }
-}
-
-#[test]
-fn narm_packed_tier_is_bitwise_equal_to_taped() {
-    for seed in SEEDS {
-        assert_packed_bitwise(
-            Narm::new(NUM_ITEMS, DIM, 0.25, seed),
-            Narm::new(NUM_ITEMS, DIM, 0.25, seed),
-            seed,
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Vectorized tier (serving default): batched == single bitwise within tier,
-// epsilon + exact metric identity against the taped f32 reference
-// ---------------------------------------------------------------------------
-
-#[test]
-fn simd_tier_batches_match_single_scores_bitwise() {
-    let max_len = TrainConfig::fast().max_session_len;
-    for seed in SEEDS {
-        let (model, _) = embsr_pair(seed);
-        let frozen = FrozenModel::freeze(model, max_len);
-        assert_eq!(frozen.tier(), KernelTier::Simd, "serving default tier");
-        assert_batch_matches_single(&frozen, seed);
-        assert_batch_matches_single(
-            &FrozenModel::freeze(Gru4Rec::new(NUM_ITEMS, DIM, seed), max_len),
-            seed,
-        );
-        assert_batch_matches_single(
-            &FrozenModel::freeze(Narm::new(NUM_ITEMS, DIM, 0.25, seed), max_len),
-            seed,
-        );
-    }
-}
-
-#[test]
-fn embsr_simd_tier_keeps_epsilon_and_metrics() {
-    let max_len = TrainConfig::fast().max_session_len;
-    for seed in SEEDS {
-        let (model, reference) = embsr_pair(seed);
-        let frozen = FrozenModel::freeze(model, max_len);
-        assert_epsilon_and_metric_identity(&frozen, reference, seed, 1e-4, "simd/f32");
-    }
-}
-
-#[test]
-fn gru4rec_simd_tier_keeps_epsilon_and_metrics() {
-    let max_len = TrainConfig::fast().max_session_len;
-    for seed in SEEDS {
-        let frozen = FrozenModel::freeze(Gru4Rec::new(NUM_ITEMS, DIM, seed), max_len);
-        assert_epsilon_and_metric_identity(
-            &frozen,
-            Gru4Rec::new(NUM_ITEMS, DIM, seed),
-            seed,
-            1e-4,
-            "simd/f32",
-        );
-    }
-}
-
-#[test]
-fn narm_simd_tier_keeps_epsilon_and_metrics() {
-    let max_len = TrainConfig::fast().max_session_len;
-    for seed in SEEDS {
-        let frozen = FrozenModel::freeze(Narm::new(NUM_ITEMS, DIM, 0.25, seed), max_len);
-        assert_epsilon_and_metric_identity(
-            &frozen,
-            Narm::new(NUM_ITEMS, DIM, 0.25, seed),
-            seed,
-            1e-4,
-            "simd/f32",
-        );
-    }
+fn embsr_pair(seed: u64) -> (Embsr, Embsr) {
+    (
+        embsr(EmbsrConfig::full, seed),
+        embsr(EmbsrConfig::full, seed),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -324,79 +236,9 @@ fn assert_quantization_epsilon<M: SessionModel>(
     }
 }
 
-#[test]
-fn embsr_reduced_precision_keeps_epsilon_and_metrics() {
-    let max_len = TrainConfig::fast().max_session_len;
-    for seed in SEEDS {
-        for (precision, tol) in PRECISION_GATES {
-            let (model, reference) = embsr_pair(seed);
-            let frozen = FrozenModel::freeze_with_precision(model, max_len, precision);
-            assert_epsilon_and_metric_identity(&frozen, reference, seed, 1e-4, precision.name());
-            let (_, original) = embsr_pair(seed);
-            assert_quantization_epsilon(&frozen, original, seed, tol, precision.name());
-        }
-    }
-}
-
-#[test]
-fn gru4rec_reduced_precision_keeps_epsilon_and_metrics() {
-    let max_len = TrainConfig::fast().max_session_len;
-    for seed in SEEDS {
-        for (precision, tol) in PRECISION_GATES {
-            let frozen = FrozenModel::freeze_with_precision(
-                Gru4Rec::new(NUM_ITEMS, DIM, seed),
-                max_len,
-                precision,
-            );
-            assert_epsilon_and_metric_identity(
-                &frozen,
-                Gru4Rec::new(NUM_ITEMS, DIM, seed),
-                seed,
-                1e-4,
-                precision.name(),
-            );
-            assert_quantization_epsilon(
-                &frozen,
-                Gru4Rec::new(NUM_ITEMS, DIM, seed),
-                seed,
-                tol,
-                precision.name(),
-            );
-        }
-    }
-}
-
-#[test]
-fn narm_reduced_precision_keeps_epsilon_and_metrics() {
-    let max_len = TrainConfig::fast().max_session_len;
-    for seed in SEEDS {
-        for (precision, tol) in PRECISION_GATES {
-            let frozen = FrozenModel::freeze_with_precision(
-                Narm::new(NUM_ITEMS, DIM, 0.25, seed),
-                max_len,
-                precision,
-            );
-            assert_epsilon_and_metric_identity(
-                &frozen,
-                Narm::new(NUM_ITEMS, DIM, 0.25, seed),
-                seed,
-                1e-4,
-                precision.name(),
-            );
-            assert_quantization_epsilon(
-                &frozen,
-                Narm::new(NUM_ITEMS, DIM, 0.25, seed),
-                seed,
-                tol,
-                precision.name(),
-            );
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Session-repr cache: cached scoring is bitwise-identical to uncached, cold
-// and warm, across every model with the repr seam
+// and warm
 // ---------------------------------------------------------------------------
 
 /// The cache contract at the frozen-model layer: `score_batch_cached` must
@@ -433,62 +275,6 @@ fn assert_cached_bitwise<M: SessionModel>(frozen: &FrozenModel<M>, seed: u64) {
     assert!(stats.hits > 0, "warm pass must hit: {stats:?}");
     assert!(stats.insertions > 0, "cold pass must insert: {stats:?}");
     assert!(stats.entries > 0 && stats.bytes > 0, "cache holds state: {stats:?}");
-}
-
-#[test]
-fn embsr_repr_cache_is_bitwise_equal_cold_and_warm() {
-    let max_len = TrainConfig::fast().max_session_len;
-    for seed in SEEDS {
-        let (model, _) = embsr_pair(seed);
-        assert_cached_bitwise(&FrozenModel::freeze(model, max_len), seed);
-    }
-}
-
-#[test]
-fn gru4rec_repr_cache_is_bitwise_equal_cold_and_warm() {
-    let max_len = TrainConfig::fast().max_session_len;
-    for seed in SEEDS {
-        let frozen = FrozenModel::freeze(Gru4Rec::new(NUM_ITEMS, DIM, seed), max_len);
-        assert_cached_bitwise(&frozen, seed);
-    }
-}
-
-#[test]
-fn narm_repr_cache_is_bitwise_equal_cold_and_warm() {
-    let max_len = TrainConfig::fast().max_session_len;
-    for seed in SEEDS {
-        let frozen = FrozenModel::freeze(Narm::new(NUM_ITEMS, DIM, 0.25, seed), max_len);
-        assert_cached_bitwise(&frozen, seed);
-    }
-}
-
-#[test]
-fn repr_cache_isolates_versions_and_packed_tier_stays_bitwise() {
-    // Same sessions, two snapshot versions in one cache: neither pollutes
-    // the other (the key includes the version), and the cached path holds
-    // its bitwise contract on the audit (packed) tier too.
-    let max_len = TrainConfig::fast().max_session_len;
-    let (model_a, _) = embsr_pair(11);
-    let (model_b, _) = embsr_pair(42);
-    let mut frozen_a = FrozenModel::freeze(model_a, max_len);
-    let mut frozen_b = FrozenModel::freeze(model_b, max_len);
-    frozen_a.set_tier(KernelTier::Packed);
-    frozen_b.set_tier(KernelTier::Packed);
-    let cache = ReprCache::new(256);
-    let sessions = &test_sessions(7)[..16];
-    for _ in 0..2 {
-        for (frozen, version) in [(&frozen_a, 1u64), (&frozen_b, 2u64)] {
-            let uncached = frozen.score_batch(sessions);
-            let cached = frozen.score_batch_cached(sessions, &cache, version);
-            for (u, c) in uncached.iter().zip(&cached) {
-                for (a, b) in u.iter().zip(c) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "version {version}");
-                }
-            }
-        }
-    }
-    let stats = cache.stats();
-    assert!(stats.hits > 0, "both versions warm: {stats:?}");
 }
 
 // ---------------------------------------------------------------------------
@@ -603,31 +389,148 @@ fn prepared_head_survives_rebuilds<M: SessionModel>(make: impl Fn(u64) -> M, lab
     }
 }
 
-#[test]
-fn embsr_prepared_head_rows_equal_model_rows_bitwise() {
-    prepared_head_survives_rebuilds(
-        |seed| {
-            let mut cfg = EmbsrConfig::full(NUM_ITEMS, NUM_OPS, DIM);
-            cfg.seed = seed;
-            Embsr::new(cfg)
-        },
-        "EMBSR",
-    );
+// ---------------------------------------------------------------------------
+// Every serving contract, for every neural model and every EMBSR variant
+// ---------------------------------------------------------------------------
+
+/// Runs every serving contract above against the model family `make`
+/// builds from a seed: per seed, the packed tier is bitwise with the taped
+/// path, simd batches match single scores bitwise, the simd tier and the
+/// f16/bf16 snapshots keep the epsilon and exact Hit@20/MRR@20 identity
+/// (plus the quantization epsilon), and cached scores equal uncached ones
+/// cold and warm; then the prepared head survives every rebuild.
+fn serving_contracts<M: SessionModel>(make: impl Fn(u64) -> M, label: &str) {
+    let max_len = TrainConfig::fast().max_session_len;
+    for seed in SEEDS {
+        assert_packed_bitwise(make(seed), make(seed), seed);
+
+        let frozen = FrozenModel::freeze(make(seed), max_len);
+        assert_eq!(frozen.tier(), KernelTier::Simd, "serving default tier");
+        assert_batch_matches_single(&frozen, seed);
+        assert_epsilon_and_metric_identity(&frozen, make(seed), seed, 1e-4, "simd/f32");
+        assert_cached_bitwise(&frozen, seed);
+
+        for (precision, tol) in PRECISION_GATES {
+            let frozen = FrozenModel::freeze_with_precision(make(seed), max_len, precision);
+            assert_epsilon_and_metric_identity(&frozen, make(seed), seed, 1e-4, precision.name());
+            assert_quantization_epsilon(&frozen, make(seed), seed, tol, precision.name());
+        }
+    }
+    prepared_head_survives_rebuilds(make, label);
 }
 
 #[test]
-fn gru4rec_prepared_head_rows_equal_model_rows_bitwise() {
-    prepared_head_survives_rebuilds(|seed| Gru4Rec::new(NUM_ITEMS, DIM, seed), "GRU4Rec");
+fn embsr_meets_every_serving_contract() {
+    serving_contracts(|seed| embsr(EmbsrConfig::full, seed), "EMBSR");
 }
 
 #[test]
-fn narm_prepared_head_rows_equal_model_rows_bitwise() {
-    prepared_head_survives_rebuilds(|seed| Narm::new(NUM_ITEMS, DIM, 0.25, seed), "NARM");
+fn embsr_variants_meet_every_serving_contract() {
+    let variants: [fn(usize, usize, usize) -> EmbsrConfig; 10] = [
+        EmbsrConfig::ablation_ns,
+        EmbsrConfig::ablation_ng,
+        EmbsrConfig::ablation_nf,
+        EmbsrConfig::sgnn_self,
+        EmbsrConfig::sgnn_seq_self,
+        EmbsrConfig::rnn_self,
+        EmbsrConfig::sgnn_abs_self,
+        EmbsrConfig::sgnn_dyadic,
+        EmbsrConfig::full_op_weighted,
+        |v, o, d| EmbsrConfig::fixed_beta(v, o, d, 0.4),
+    ];
+    for variant in variants {
+        let label = variant(NUM_ITEMS, NUM_OPS, DIM).name;
+        serving_contracts(|seed| embsr(variant, seed), &label);
+    }
+}
+
+#[test]
+fn fpmc_meets_every_serving_contract() {
+    serving_contracts(|seed| Fpmc::new(NUM_ITEMS, DIM, seed), "FPMC");
+}
+
+#[test]
+fn gru4rec_meets_every_serving_contract() {
+    serving_contracts(|seed| Gru4Rec::new(NUM_ITEMS, DIM, seed), "GRU4Rec");
+}
+
+#[test]
+fn narm_meets_every_serving_contract() {
+    serving_contracts(|seed| Narm::new(NUM_ITEMS, DIM, 0.25, seed), "NARM");
+}
+
+#[test]
+fn stamp_meets_every_serving_contract() {
+    serving_contracts(|seed| Stamp::new(NUM_ITEMS, DIM, seed), "STAMP");
+}
+
+#[test]
+fn srgnn_meets_every_serving_contract() {
+    serving_contracts(|seed| SrGnn::new(NUM_ITEMS, DIM, seed), "SR-GNN");
+}
+
+#[test]
+fn gcsan_meets_every_serving_contract() {
+    serving_contracts(|seed| GcSan::new(NUM_ITEMS, DIM, seed), "GC-SAN");
+}
+
+#[test]
+fn bert4rec_meets_every_serving_contract() {
+    serving_contracts(|seed| Bert4Rec::new(NUM_ITEMS, DIM, seed), "BERT4Rec");
+}
+
+#[test]
+fn sgnnhn_meets_every_serving_contract() {
+    serving_contracts(|seed| SgnnHn::new(NUM_ITEMS, DIM, seed), "SGNN-HN");
+}
+
+#[test]
+fn rib_meets_every_serving_contract() {
+    serving_contracts(|seed| Rib::new(NUM_ITEMS, NUM_OPS, DIM, seed), "RIB");
+}
+
+#[test]
+fn hup_meets_every_serving_contract() {
+    serving_contracts(|seed| Hup::new(NUM_ITEMS, NUM_OPS, DIM, seed), "HUP");
+}
+
+#[test]
+fn mkmsr_meets_every_serving_contract() {
+    serving_contracts(|seed| MkmSr::new(NUM_ITEMS, NUM_OPS, DIM, seed), "MKM-SR");
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot replication and pooling invariants
+// Cache versioning, snapshot replication and pooling invariants
 // ---------------------------------------------------------------------------
+
+#[test]
+fn repr_cache_isolates_versions_and_packed_tier_stays_bitwise() {
+    // Same sessions, two snapshot versions in one cache: neither pollutes
+    // the other (the key includes the version), and the cached path holds
+    // its bitwise contract on the audit (packed) tier too.
+    let max_len = TrainConfig::fast().max_session_len;
+    let (model_a, _) = embsr_pair(11);
+    let (model_b, _) = embsr_pair(42);
+    let mut frozen_a = FrozenModel::freeze(model_a, max_len);
+    let mut frozen_b = FrozenModel::freeze(model_b, max_len);
+    frozen_a.set_tier(KernelTier::Packed);
+    frozen_b.set_tier(KernelTier::Packed);
+    let cache = ReprCache::new(256);
+    let sessions = &test_sessions(7)[..16];
+    for _ in 0..2 {
+        for (frozen, version) in [(&frozen_a, 1u64), (&frozen_b, 2u64)] {
+            let uncached = frozen.score_batch(sessions);
+            let cached = frozen.score_batch_cached(sessions, &cache, version);
+            for (u, c) in uncached.iter().zip(&cached) {
+                for (a, b) in u.iter().zip(c) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "version {version}");
+                }
+            }
+        }
+    }
+    let stats = cache.stats();
+    assert!(stats.hits > 0, "both versions warm: {stats:?}");
+}
 
 #[test]
 fn snapshot_replicas_score_identically() {

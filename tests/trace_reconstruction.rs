@@ -15,7 +15,7 @@ use embsr_obs::MemorySink;
 use embsr_serve::{serve, EngineConfig, FrozenModel, ScoreBatch, TopK};
 use embsr_sessions::{MicroBehavior, Session};
 use embsr_tensor::{uniform_init, Rng, Tensor};
-use embsr_train::SessionModel;
+use embsr_train::{Head, Scorer, SessionModel};
 
 /// Serializes tests that mutate the global dispatcher and trace switch.
 fn guard() -> MutexGuard<'static, ()> {
@@ -23,9 +23,10 @@ fn guard() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Minimal deterministic model: logits are the mean of the weight rows of
-/// the session's items (mirrors the engine's own test model, which is not
-/// visible to integration tests).
+/// Minimal deterministic model: the representation is the mean of the
+/// weight rows of the session's items, dot-scored against the same weight
+/// matrix as the item table (mirrors the engine's own test model, which is
+/// not visible to integration tests).
 struct ToyModel {
     weight: Tensor,
     num_items: usize,
@@ -51,9 +52,15 @@ impl SessionModel for ToyModel {
     fn parameters(&self) -> Vec<Tensor> {
         vec![self.weight.clone()]
     }
-    fn logits(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
+    fn repr(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
         let idx: Vec<usize> = session.events.iter().map(|e| e.item as usize).collect();
         self.weight.gather_rows(&idx).mean_rows()
+    }
+    fn head(&self) -> Head {
+        Head {
+            scorer: Scorer::Dot,
+            items: self.weight.clone(),
+        }
     }
 }
 
