@@ -393,35 +393,155 @@ fn prepared_head_survives_rebuilds<M: SessionModel>(make: impl Fn(u64) -> M, lab
 // Every serving contract, for every neural model and every EMBSR variant
 // ---------------------------------------------------------------------------
 
-/// Runs every serving contract above against the model family `make`
-/// builds from a seed: per seed, the packed tier is bitwise with the taped
-/// path, simd batches match single scores bitwise, the simd tier and the
-/// f16/bf16 snapshots keep the epsilon and exact Hit@20/MRR@20 identity
-/// (plus the quantization epsilon), and cached scores equal uncached ones
-/// cold and warm; then the prepared head survives every rebuild.
-fn serving_contracts<M: SessionModel>(make: impl Fn(u64) -> M, label: &str) {
-    let max_len = TrainConfig::fast().max_session_len;
+/// The packed tier is bitwise with the taped path, for every seed.
+fn packed_contract<M: SessionModel>(make: impl Fn(u64) -> M) {
     for seed in SEEDS {
         assert_packed_bitwise(make(seed), make(seed), seed);
+    }
+}
 
+/// The serving default tier is the vectorized one, and its batches match
+/// its single scores bitwise, for every seed.
+fn batch_contract<M: SessionModel>(make: impl Fn(u64) -> M) {
+    let max_len = TrainConfig::fast().max_session_len;
+    for seed in SEEDS {
         let frozen = FrozenModel::freeze(make(seed), max_len);
         assert_eq!(frozen.tier(), KernelTier::Simd, "serving default tier");
         assert_batch_matches_single(&frozen, seed);
-        assert_epsilon_and_metric_identity(&frozen, make(seed), seed, 1e-4, "simd/f32");
-        assert_cached_bitwise(&frozen, seed);
+    }
+}
 
+/// The vectorized tier keeps the epsilon and exact Hit@20/MRR@20 identity
+/// against the taped path, for every seed.
+fn simd_contract<M: SessionModel>(make: impl Fn(u64) -> M) {
+    let max_len = TrainConfig::fast().max_session_len;
+    for seed in SEEDS {
+        let frozen = FrozenModel::freeze(make(seed), max_len);
+        assert_epsilon_and_metric_identity(&frozen, make(seed), seed, 1e-4, "simd/f32");
+    }
+}
+
+/// The f16/bf16 snapshots keep the epsilon and exact metric identity on
+/// the deployed weights, plus the quantization epsilon against the
+/// pre-quantization weights, for every seed.
+fn reduced_precision_contract<M: SessionModel>(make: impl Fn(u64) -> M) {
+    let max_len = TrainConfig::fast().max_session_len;
+    for seed in SEEDS {
         for (precision, tol) in PRECISION_GATES {
             let frozen = FrozenModel::freeze_with_precision(make(seed), max_len, precision);
             assert_epsilon_and_metric_identity(&frozen, make(seed), seed, 1e-4, precision.name());
             assert_quantization_epsilon(&frozen, make(seed), seed, tol, precision.name());
         }
     }
+}
+
+/// Cached scores equal uncached ones cold and warm, for every seed.
+fn cache_contract<M: SessionModel>(make: impl Fn(u64) -> M) {
+    let max_len = TrainConfig::fast().max_session_len;
+    for seed in SEEDS {
+        assert_cached_bitwise(&FrozenModel::freeze(make(seed), max_len), seed);
+    }
+}
+
+/// Runs every serving contract above against the model family `make`
+/// builds from a seed.
+fn serving_contracts<M: SessionModel>(make: impl Fn(u64) -> M, label: &str) {
+    packed_contract(&make);
+    batch_contract(&make);
+    simd_contract(&make);
+    reduced_precision_contract(&make);
+    cache_contract(&make);
     prepared_head_survives_rebuilds(make, label);
 }
 
+fn gru4rec(seed: u64) -> Gru4Rec {
+    Gru4Rec::new(NUM_ITEMS, DIM, seed)
+}
+
+fn narm(seed: u64) -> Narm {
+    Narm::new(NUM_ITEMS, DIM, 0.25, seed)
+}
+
 #[test]
-fn embsr_meets_every_serving_contract() {
-    serving_contracts(|seed| embsr(EmbsrConfig::full, seed), "EMBSR");
+fn embsr_packed_tier_is_bitwise_equal_to_taped() {
+    packed_contract(|seed| embsr(EmbsrConfig::full, seed));
+}
+
+#[test]
+fn gru4rec_packed_tier_is_bitwise_equal_to_taped() {
+    packed_contract(gru4rec);
+}
+
+#[test]
+fn narm_packed_tier_is_bitwise_equal_to_taped() {
+    packed_contract(narm);
+}
+
+#[test]
+fn simd_tier_batches_match_single_scores_bitwise() {
+    batch_contract(|seed| embsr(EmbsrConfig::full, seed));
+    batch_contract(gru4rec);
+    batch_contract(narm);
+}
+
+#[test]
+fn embsr_simd_tier_keeps_epsilon_and_metrics() {
+    simd_contract(|seed| embsr(EmbsrConfig::full, seed));
+}
+
+#[test]
+fn gru4rec_simd_tier_keeps_epsilon_and_metrics() {
+    simd_contract(gru4rec);
+}
+
+#[test]
+fn narm_simd_tier_keeps_epsilon_and_metrics() {
+    simd_contract(narm);
+}
+
+#[test]
+fn embsr_reduced_precision_keeps_epsilon_and_metrics() {
+    reduced_precision_contract(|seed| embsr(EmbsrConfig::full, seed));
+}
+
+#[test]
+fn gru4rec_reduced_precision_keeps_epsilon_and_metrics() {
+    reduced_precision_contract(gru4rec);
+}
+
+#[test]
+fn narm_reduced_precision_keeps_epsilon_and_metrics() {
+    reduced_precision_contract(narm);
+}
+
+#[test]
+fn embsr_repr_cache_is_bitwise_equal_cold_and_warm() {
+    cache_contract(|seed| embsr(EmbsrConfig::full, seed));
+}
+
+#[test]
+fn gru4rec_repr_cache_is_bitwise_equal_cold_and_warm() {
+    cache_contract(gru4rec);
+}
+
+#[test]
+fn narm_repr_cache_is_bitwise_equal_cold_and_warm() {
+    cache_contract(narm);
+}
+
+#[test]
+fn embsr_prepared_head_rows_equal_model_rows_bitwise() {
+    prepared_head_survives_rebuilds(|seed| embsr(EmbsrConfig::full, seed), "EMBSR");
+}
+
+#[test]
+fn gru4rec_prepared_head_rows_equal_model_rows_bitwise() {
+    prepared_head_survives_rebuilds(gru4rec, "GRU4Rec");
+}
+
+#[test]
+fn narm_prepared_head_rows_equal_model_rows_bitwise() {
+    prepared_head_survives_rebuilds(narm, "NARM");
 }
 
 #[test]
@@ -447,16 +567,6 @@ fn embsr_variants_meet_every_serving_contract() {
 #[test]
 fn fpmc_meets_every_serving_contract() {
     serving_contracts(|seed| Fpmc::new(NUM_ITEMS, DIM, seed), "FPMC");
-}
-
-#[test]
-fn gru4rec_meets_every_serving_contract() {
-    serving_contracts(|seed| Gru4Rec::new(NUM_ITEMS, DIM, seed), "GRU4Rec");
-}
-
-#[test]
-fn narm_meets_every_serving_contract() {
-    serving_contracts(|seed| Narm::new(NUM_ITEMS, DIM, 0.25, seed), "NARM");
 }
 
 #[test]
