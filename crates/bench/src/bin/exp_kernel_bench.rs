@@ -1,15 +1,16 @@
 //! Experiment K1 — kernel-layer micro-benchmarks.
 //!
 //! Sweeps square `d × d × d` GEMMs for `d ∈ {32, 64, 128}` across the three
-//! micro-kernel variants (`A·B`, `Aᵀ·B`, `A·Bᵀ`) at every kernel tier —
-//! scalar reference, packed register-tiled, and the vectorized lane-form
-//! tier — plus embedding gather (forward) and gather→scatter (forward +
+//! layouts (`A·B`, `Aᵀ·B`, `A·Bᵀ`) at both kernel tiers — packed
+//! register-tiled and the vectorized lane-form tier — each timed against the
+//! scalar reference loops (`reference_gemm_*`, called directly: the oracle,
+//! not a tier), plus embedding gather (forward) and gather→scatter (forward +
 //! backward) throughput. Writes one row file `results/kernels.json` and the
-//! aggregate `BENCH_kernels.json`.
+//! aggregate `BENCH_kernels.json`, both stamped with the git revision and
+//! the cores available.
 //!
-//! `--tier {scalar,packed,simd,all}` restricts the sweep (default `all`;
-//! the baseline check needs the full sweep since it gates both ratio
-//! families).
+//! `--tier {packed,simd,all}` restricts the sweep (default `all`; the
+//! baseline check needs the full sweep since it gates both ratio families).
 //!
 //! The CI bench-regression job runs this with
 //! `--check-baseline crates/bench/kernel_baseline.json`: the **speedup
@@ -95,12 +96,12 @@ fn main() {
     let write_baseline = flag_value("--write-baseline").map(PathBuf::from);
     let tier_arg = flag_value("--tier").unwrap_or_else(|| "all".to_string());
     let tiers: Vec<KernelTier> = if tier_arg == "all" {
-        vec![KernelTier::Scalar, KernelTier::Packed, KernelTier::Simd]
+        vec![KernelTier::Packed, KernelTier::Simd]
     } else {
         match KernelTier::parse(&tier_arg) {
             Some(t) => vec![t],
             None => {
-                eprintln!("--tier must be one of scalar|packed|simd|all, got `{tier_arg}`");
+                eprintln!("--tier must be one of packed|simd|all, got `{tier_arg}`");
                 std::process::exit(2);
             }
         }
@@ -226,8 +227,12 @@ fn main() {
         if let Err(e) = std::fs::create_dir_all(&args.out_dir) {
             embsr_obs::warn!(target: "exp::kernels", "out dir: {e}");
         }
+        let git_revision = JsonValue::String(embsr_obs::manifest::git_revision());
+        let cores = JsonValue::Number(embsr_obs::manifest::cores_available() as f64);
         let row_file = JsonValue::object(vec![
             ("experiment", JsonValue::String("kernel_bench".into())),
+            ("git_revision", git_revision.clone()),
+            ("cores_available", cores.clone()),
             ("rows", JsonValue::Array(rows.clone())),
         ]);
         let path = args.out_dir.join("kernels.json");
@@ -236,6 +241,8 @@ fn main() {
         }
         let table = JsonValue::object(vec![
             ("bench", JsonValue::String("kernels".into())),
+            ("git_revision", git_revision),
+            ("cores_available", cores),
             ("quick", JsonValue::Bool(quick)),
             ("seed", JsonValue::Number(args.seed as f64)),
             ("simd_lanes", JsonValue::Number(kernels::simd_lanes() as f64)),

@@ -60,8 +60,11 @@ impl Scale {
 pub struct HarnessArgs {
     pub scale: Scale,
     pub threads: usize,
-    /// Worker threads for the data-parallel trainer (`--train-threads`);
-    /// results are bitwise identical for any value, only throughput changes.
+    /// `--train-threads`: the largest thread count `exp_parallel_scaling`
+    /// sweeps its data-parallel trainer over. No other binary reads it:
+    /// [`HarnessArgs::train_config`] leaves `TrainConfig::train_threads` at
+    /// its default, and the table and figure binaries train through
+    /// `NeuralRecommender::fit`, which runs the sequential `Trainer`.
     pub train_threads: usize,
     pub dim: usize,
     pub epochs: usize,

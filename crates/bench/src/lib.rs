@@ -9,7 +9,8 @@
 //! ```text
 //! --scale tiny|small|full   experiment size (default: small)
 //! --threads N               parallel jobs (default: available cores)
-//! --train-threads N         data-parallel trainer workers (default: 4)
+//! --train-threads N         largest trainer thread count exp_parallel_scaling
+//!                           sweeps (default: 4); other binaries ignore it
 //! --dim N                   embedding size override
 //! --epochs N                training epochs override
 //! --seed N                  RNG seed override

@@ -85,8 +85,8 @@ pub struct RunManifest {
     /// Git commit the binary was built from (see [`git_revision`]);
     /// `"unknown"` or `""` when not recorded.
     pub git_revision: String,
-    /// Kernel tier the run's inference used (`"scalar"` / `"packed"` /
-    /// `"simd"`, as named by `embsr_tensor::kernels::KernelTier`); `""`
+    /// Kernel tier the run's inference used (`"packed"` or `"simd"`, as
+    /// named by `embsr_tensor::kernels::KernelTier`); `""`
     /// when not recorded. Filled by the caller — this crate sits below the
     /// tensor layer and cannot detect the tier itself.
     pub kernel_tier: String,

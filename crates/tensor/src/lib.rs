@@ -42,6 +42,10 @@ mod flat;
 pub mod half;
 mod inference;
 mod init;
+/// Packed GEMM micro-kernels, their tier selection, and the scalar reference
+/// loops they are tested against (public so benches and property tests can
+/// call the kernels directly).
+pub mod kernels;
 mod ops;
 mod optim;
 mod pool;
@@ -55,7 +59,6 @@ pub mod verify;
 pub use flat::{export_grads, export_params, flat_len, import_grads, import_params, tree_reduce};
 pub use inference::{inference_mode, is_inference};
 pub use init::{kaiming_uniform, uniform_init, xavier_uniform, zeros_init};
-pub use ops::kernels;
 pub use ops::{
     fused_softmax_rows, gated_blend, gated_update_combine, gated_update_gates, gru_step_fused,
     gru_step_fused_masked, l2_normalize_row, softmax_slice, star_blend,

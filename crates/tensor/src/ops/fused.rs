@@ -37,7 +37,7 @@
 //!   contract as `gru_step_fused`: bitwise-identical forward, no backward,
 //!   `inference_mode`-only dispatch.
 
-use crate::ops::kernels::{active_tier, KernelTier};
+use crate::kernels::{active_tier, KernelTier};
 use crate::pool;
 use crate::tensor::Tensor;
 

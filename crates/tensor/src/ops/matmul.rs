@@ -1,14 +1,15 @@
-//! Dense matrix multiplication and transposition.
+//! Dense matrix products and transposition.
 //!
-//! The actual arithmetic lives in [`crate::ops::kernels`]: all three product
-//! layouts (`A·B` forward, `A·Bᵀ` / `Aᵀ·B` backward) dispatch to the packed,
-//! register-tiled micro-kernels there. The old naive `ikj` loops — and their
-//! branchy `av == 0.0` skips, which defeated vectorization on dense
-//! activations — are gone; one-hot and gather-style inputs never reach dense
-//! matmul in this codebase (embedding lookups use the dedicated
+//! The four taped products — [`Tensor::matmul`], [`Tensor::matmul_nt`],
+//! [`Tensor::bmm`] and [`Tensor::bmm_nt`] — share one body: `b` independent
+//! products stored back to back (`b = 1` for the 2-D ops), each one kernel
+//! call into [`crate::kernels`], forward and backward. The kernels run every
+//! layout (`A·B` forward, `A·Bᵀ` / `Aᵀ·B` backward) on the packed,
+//! register-tiled micro-kernels; one-hot and gather-style inputs never reach
+//! dense matmul in this codebase (embedding lookups use the dedicated
 //! `gather_rows` indexed path), so no sparse fallback is kept.
 
-use super::kernels::{gemm_ab, gemm_abt, gemm_atb, PackedAbt};
+use crate::kernels::{gemm_ab, gemm_abt, gemm_atb, PackedAbt};
 use crate::pool;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -26,34 +27,7 @@ impl Tensor {
         let (m, k) = self.shape().as_matrix();
         let (k2, n) = rhs.shape().as_matrix();
         assert_eq!(k, k2, "matmul inner dims: {} vs {}", k, k2);
-
-        if embsr_obs::metrics::enabled() {
-            embsr_obs::metrics::counter("tensor.matmul_flops").add((2 * m * k * n) as u64);
-        }
-        let mut out = pool::take_zeroed(m * n);
-        gemm_ab(&self.data(), &rhs.data(), &mut out, m, k, n);
-
-        let lhs_t = self.clone();
-        let rhs_t = rhs.clone();
-        Tensor::from_op(
-            out,
-            Shape::new(&[m, n]),
-            vec![self.clone(), rhs.clone()],
-            "matmul",
-            Box::new(move |grad| {
-                // dA = dC · B^T ; dB = A^T · dC
-                if lhs_t.is_grad() {
-                    let mut da = pool::take_zeroed(m * k);
-                    gemm_abt(grad, &rhs_t.data(), &mut da, m, n, k);
-                    lhs_t.accumulate_grad_owned(da);
-                }
-                if rhs_t.is_grad() {
-                    let mut db = pool::take_zeroed(k * n);
-                    gemm_atb(&lhs_t.data(), grad, &mut db, m, k, n);
-                    rhs_t.accumulate_grad_owned(db);
-                }
-            }),
-        )
+        self.product(rhs, "matmul", false, [1, m, k, n], Shape::new(&[m, n]))
     }
 
     /// Matrix product with a transposed right operand: `[m,k] · [n,k]ᵀ →
@@ -75,30 +49,110 @@ impl Tensor {
         let (m, k) = self.shape().as_matrix();
         let (n, k2) = rhs.shape().as_matrix();
         assert_eq!(k, k2, "matmul_nt inner dims: {} vs {}", k, k2);
+        self.product(rhs, "matmul_nt", true, [1, m, k, n], Shape::new(&[m, n]))
+    }
 
+    /// Batched matrix product: `[b,m,k] · [b,k,n] → [b,m,n]`, one kernel call
+    /// per batch entry. Collapses the per-head / per-step matmul loops in the
+    /// attention and recurrent layers into a single graph node.
+    ///
+    /// # Panics
+    /// Panics on rank ≠ 3 or mismatched batch/inner dimensions.
+    pub fn bmm(&self, rhs: &Tensor) -> Tensor {
+        assert_eq!(self.shape().rank(), 3, "bmm lhs must be rank 3");
+        assert_eq!(rhs.shape().rank(), 3, "bmm rhs must be rank 3");
+        let (b, m, k) = (self.shape().dims()[0], self.shape().dims()[1], self.shape().dims()[2]);
+        let (b2, k2, n) = (rhs.shape().dims()[0], rhs.shape().dims()[1], rhs.shape().dims()[2]);
+        assert_eq!(b, b2, "bmm batch dims: {} vs {}", b, b2);
+        assert_eq!(k, k2, "bmm inner dims: {} vs {}", k, k2);
+        self.product(rhs, "bmm", false, [b, m, k, n], Shape::new(&[b, m, n]))
+    }
+
+    /// Batched matrix product with a transposed right operand:
+    /// `[b,m,k] · [b,n,k]ᵀ → [b,m,n]`. The attention score pass
+    /// (`Q·Kᵀ`) uses this to avoid materializing transposed key matrices.
+    ///
+    /// # Panics
+    /// Panics on rank ≠ 3 or mismatched batch/inner dimensions.
+    pub fn bmm_nt(&self, rhs: &Tensor) -> Tensor {
+        assert_eq!(self.shape().rank(), 3, "bmm_nt lhs must be rank 3");
+        assert_eq!(rhs.shape().rank(), 3, "bmm_nt rhs must be rank 3");
+        let (b, m, k) = (self.shape().dims()[0], self.shape().dims()[1], self.shape().dims()[2]);
+        let (b2, n, k2) = (rhs.shape().dims()[0], rhs.shape().dims()[1], rhs.shape().dims()[2]);
+        assert_eq!(b, b2, "bmm_nt batch dims: {} vs {}", b, b2);
+        assert_eq!(k, k2, "bmm_nt inner dims: {} vs {}", k, k2);
+        self.product(rhs, "bmm_nt", true, [b, m, k, n], Shape::new(&[b, m, n]))
+    }
+
+    /// The taped body of the four products: `b` independent products of
+    /// `A[m,k]` with `B[k,n]` — or, when `nt`, with `B[n,k]ᵀ` — stored back to
+    /// back in `shape`, recorded as one `op` node. Backward runs dA's kernel
+    /// calls before dB's.
+    fn product(
+        &self,
+        rhs: &Tensor,
+        op: &'static str,
+        nt: bool,
+        [b, m, k, n]: [usize; 4],
+        shape: Shape,
+    ) -> Tensor {
         if embsr_obs::metrics::enabled() {
-            embsr_obs::metrics::counter("tensor.matmul_flops").add((2 * m * k * n) as u64);
+            embsr_obs::metrics::counter("tensor.matmul_flops").add((2 * b * m * k * n) as u64);
         }
-        let mut out = pool::take_zeroed(m * n);
-        gemm_abt(&self.data(), &rhs.data(), &mut out, m, k, n);
+        // Per-entry lengths of A, B and C.
+        let (la, lb, lc) = (m * k, k * n, m * n);
+        let mut out = pool::take_zeroed(b * lc);
+        {
+            let (ad, bd) = (self.data(), rhs.data());
+            for i in 0..b {
+                let (a, w) = (&ad[i * la..(i + 1) * la], &bd[i * lb..(i + 1) * lb]);
+                let c = &mut out[i * lc..(i + 1) * lc];
+                if nt {
+                    gemm_abt(a, w, c, m, k, n);
+                } else {
+                    gemm_ab(a, w, c, m, k, n);
+                }
+            }
+        }
 
         let lhs_t = self.clone();
         let rhs_t = rhs.clone();
         Tensor::from_op(
             out,
-            Shape::new(&[m, n]),
+            shape,
             vec![self.clone(), rhs.clone()],
-            "matmul_nt",
+            op,
             Box::new(move |grad| {
-                // C = A·Bᵀ ⇒ dA = dC·B ; dB = dCᵀ·A
+                // C = A·B  ⇒ dA = dC·Bᵀ ; dB = Aᵀ·dC
+                // C = A·Bᵀ ⇒ dA = dC·B  ; dB = dCᵀ·A
                 if lhs_t.is_grad() {
-                    let mut da = pool::take_zeroed(m * k);
-                    gemm_ab(grad, &rhs_t.data(), &mut da, m, n, k);
+                    let mut da = pool::take_zeroed(b * la);
+                    let bd = rhs_t.data();
+                    for i in 0..b {
+                        let (g, w) = (&grad[i * lc..(i + 1) * lc], &bd[i * lb..(i + 1) * lb]);
+                        let d = &mut da[i * la..(i + 1) * la];
+                        if nt {
+                            gemm_ab(g, w, d, m, n, k);
+                        } else {
+                            gemm_abt(g, w, d, m, n, k);
+                        }
+                    }
+                    drop(bd);
                     lhs_t.accumulate_grad_owned(da);
                 }
                 if rhs_t.is_grad() {
-                    let mut db = pool::take_zeroed(n * k);
-                    gemm_atb(grad, &lhs_t.data(), &mut db, m, n, k);
+                    let mut db = pool::take_zeroed(b * lb);
+                    let ad = lhs_t.data();
+                    for i in 0..b {
+                        let (g, a) = (&grad[i * lc..(i + 1) * lc], &ad[i * la..(i + 1) * la]);
+                        let d = &mut db[i * lb..(i + 1) * lb];
+                        if nt {
+                            gemm_atb(g, a, d, m, n, k);
+                        } else {
+                            gemm_atb(a, g, d, m, k, n);
+                        }
+                    }
+                    drop(ad);
                     rhs_t.accumulate_grad_owned(db);
                 }
             }),
@@ -189,7 +243,7 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use crate::testing::{assert_close, check_gradient};
-    use crate::Tensor;
+    use crate::{Rng, Tensor};
 
     #[test]
     fn matmul_small_known_values() {
@@ -237,7 +291,6 @@ mod tests {
 
     #[test]
     fn matmul_nt_bitwise_equals_matmul_of_transpose() {
-        use crate::Rng;
         let mut rng = Rng::seed_from_u64(29);
         for &(m, k, n) in &[(1, 1, 1), (3, 5, 7), (4, 16, 33), (8, 48, 11)] {
             let a_data: Vec<f32> = (0..m * k).map(|_| rng.uniform_range(-1.0, 1.0)).collect();
@@ -310,5 +363,78 @@ mod tests {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]);
         let b = Tensor::from_vec(vec![4.0, 5.0, 6.0], &[3]);
         assert_close(&[a.dot(&b).item()], &[32.0], 1e-6);
+    }
+
+    fn rand_vec(rng: &mut Rng, n: usize) -> Vec<f32> {
+        (0..n).map(|_| rng.uniform_range(-1.0, 1.0)).collect()
+    }
+
+    #[test]
+    fn bmm_matches_per_batch_matmul() {
+        let mut rng = Rng::seed_from_u64(7);
+        let (b, m, k, n) = (3, 4, 5, 6);
+        let a = Tensor::from_vec(rand_vec(&mut rng, b * m * k), &[b, m, k]);
+        let w = Tensor::from_vec(rand_vec(&mut rng, b * k * n), &[b, k, n]);
+        let out = a.bmm(&w);
+        assert_eq!(out.shape().dims(), &[b, m, n]);
+        let ad = a.data();
+        let wd = w.data();
+        for bi in 0..b {
+            let am = Tensor::from_vec(ad[bi * m * k..(bi + 1) * m * k].to_vec(), &[m, k]);
+            let wm = Tensor::from_vec(wd[bi * k * n..(bi + 1) * k * n].to_vec(), &[k, n]);
+            let expect = am.matmul(&wm);
+            assert_close(
+                &out.to_vec()[bi * m * n..(bi + 1) * m * n],
+                &expect.to_vec(),
+                0.0,
+            );
+        }
+    }
+
+    #[test]
+    fn bmm_nt_matches_manual_transpose() {
+        let mut rng = Rng::seed_from_u64(11);
+        let (b, m, k, n) = (2, 3, 4, 5);
+        let a = Tensor::from_vec(rand_vec(&mut rng, b * m * k), &[b, m, k]);
+        let w = Tensor::from_vec(rand_vec(&mut rng, b * n * k), &[b, n, k]);
+        let out = a.bmm_nt(&w);
+        let ad = a.data();
+        let wd = w.data();
+        for bi in 0..b {
+            let am = Tensor::from_vec(ad[bi * m * k..(bi + 1) * m * k].to_vec(), &[m, k]);
+            let wm = Tensor::from_vec(wd[bi * n * k..(bi + 1) * n * k].to_vec(), &[n, k]);
+            let expect = am.matmul(&wm.transpose());
+            assert_close(
+                &out.to_vec()[bi * m * n..(bi + 1) * m * n],
+                &expect.to_vec(),
+                1e-6,
+            );
+        }
+    }
+
+    #[test]
+    fn bmm_gradcheck_both_sides() {
+        let mut rng = Rng::seed_from_u64(1337);
+        let (b, m, k, n) = (2, 2, 3, 2);
+        let lhs = Tensor::from_vec(rand_vec(&mut rng, b * m * k), &[b, m, k]).requires_grad();
+        let fixed_r = Tensor::from_vec(rand_vec(&mut rng, b * k * n), &[b, k, n]);
+        check_gradient(&lhs, |x| x.bmm(&fixed_r).sum(), 1e-3, 1e-2);
+
+        let rhs = Tensor::from_vec(rand_vec(&mut rng, b * k * n), &[b, k, n]).requires_grad();
+        let fixed_l = Tensor::from_vec(rand_vec(&mut rng, b * m * k), &[b, m, k]);
+        check_gradient(&rhs, |x| fixed_l.bmm(x).sum(), 1e-3, 1e-2);
+    }
+
+    #[test]
+    fn bmm_nt_gradcheck_both_sides() {
+        let mut rng = Rng::seed_from_u64(1337);
+        let (b, m, k, n) = (2, 3, 2, 2);
+        let lhs = Tensor::from_vec(rand_vec(&mut rng, b * m * k), &[b, m, k]).requires_grad();
+        let fixed_r = Tensor::from_vec(rand_vec(&mut rng, b * n * k), &[b, n, k]);
+        check_gradient(&lhs, |x| x.bmm_nt(&fixed_r).sum(), 1e-3, 1e-2);
+
+        let rhs = Tensor::from_vec(rand_vec(&mut rng, b * n * k), &[b, n, k]).requires_grad();
+        let fixed_l = Tensor::from_vec(rand_vec(&mut rng, b * m * k), &[b, m, k]);
+        check_gradient(&rhs, |x| fixed_l.bmm_nt(x).sum(), 1e-3, 1e-2);
     }
 }

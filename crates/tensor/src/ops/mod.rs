@@ -8,10 +8,6 @@ mod extras;
 /// scorer chain (public so benches can drive the slice kernel directly).
 pub mod fused;
 mod index;
-/// Packed GEMM micro-kernels, their scalar reference implementations, and the
-/// batched matmul entry points (public so benches and property tests can call
-/// the kernels directly).
-pub mod kernels;
 mod loss;
 mod matmul;
 mod norm;

@@ -750,6 +750,48 @@ pub fn gradcheck_specs() -> Vec<GradSpec> {
             tol: 1e-2,
             build: |x| weights(&[3, 4], 12).matmul_nt(x).mul(&w(&[3, 2])).sum(),
         },
+        GradSpec {
+            name: "matmul::bmm_lhs",
+            file: "matmul",
+            dims: &[2, 3, 4],
+            lo: -1.0,
+            hi: 1.0,
+            eps: 1e-2,
+            tol: 1e-2,
+            // weighted sums go through a rank-2 reshape: elementwise ops
+            // (and their row-broadcast analysis) are defined on matrices
+            build: |x| x.bmm(&weights(&[2, 4, 2], 19)).reshape(&[6, 2]).mul(&w(&[6, 2])).sum(),
+        },
+        GradSpec {
+            name: "matmul::bmm_rhs",
+            file: "matmul",
+            dims: &[2, 4, 2],
+            lo: -1.0,
+            hi: 1.0,
+            eps: 1e-2,
+            tol: 1e-2,
+            build: |x| weights(&[2, 3, 4], 20).bmm(x).reshape(&[6, 2]).mul(&w(&[6, 2])).sum(),
+        },
+        GradSpec {
+            name: "matmul::bmm_nt_lhs",
+            file: "matmul",
+            dims: &[2, 3, 4],
+            lo: -1.0,
+            hi: 1.0,
+            eps: 1e-2,
+            tol: 1e-2,
+            build: |x| x.bmm_nt(&weights(&[2, 2, 4], 21)).reshape(&[6, 2]).mul(&w(&[6, 2])).sum(),
+        },
+        GradSpec {
+            name: "matmul::bmm_nt_rhs",
+            file: "matmul",
+            dims: &[2, 2, 4],
+            lo: -1.0,
+            hi: 1.0,
+            eps: 1e-2,
+            tol: 1e-2,
+            build: |x| weights(&[2, 3, 4], 22).bmm_nt(x).reshape(&[6, 2]).mul(&w(&[6, 2])).sum(),
+        },
         // ---- fused ----------------------------------------------------
         GradSpec {
             name: "fused::normalize_scale_rows",
@@ -1041,49 +1083,6 @@ pub fn gradcheck_specs() -> Vec<GradSpec> {
                     .sum()
             },
         },
-        // ---- kernels --------------------------------------------------
-        GradSpec {
-            name: "kernels::bmm_lhs",
-            file: "kernels",
-            dims: &[2, 3, 4],
-            lo: -1.0,
-            hi: 1.0,
-            eps: 1e-2,
-            tol: 1e-2,
-            // weighted sums go through a rank-2 reshape: elementwise ops
-            // (and their row-broadcast analysis) are defined on matrices
-            build: |x| x.bmm(&weights(&[2, 4, 2], 19)).reshape(&[6, 2]).mul(&w(&[6, 2])).sum(),
-        },
-        GradSpec {
-            name: "kernels::bmm_rhs",
-            file: "kernels",
-            dims: &[2, 4, 2],
-            lo: -1.0,
-            hi: 1.0,
-            eps: 1e-2,
-            tol: 1e-2,
-            build: |x| weights(&[2, 3, 4], 20).bmm(x).reshape(&[6, 2]).mul(&w(&[6, 2])).sum(),
-        },
-        GradSpec {
-            name: "kernels::bmm_nt_lhs",
-            file: "kernels",
-            dims: &[2, 3, 4],
-            lo: -1.0,
-            hi: 1.0,
-            eps: 1e-2,
-            tol: 1e-2,
-            build: |x| x.bmm_nt(&weights(&[2, 2, 4], 21)).reshape(&[6, 2]).mul(&w(&[6, 2])).sum(),
-        },
-        GradSpec {
-            name: "kernels::bmm_nt_rhs",
-            file: "kernels",
-            dims: &[2, 2, 4],
-            lo: -1.0,
-            hi: 1.0,
-            eps: 1e-2,
-            tol: 1e-2,
-            build: |x| weights(&[2, 3, 4], 22).bmm_nt(x).reshape(&[6, 2]).mul(&w(&[6, 2])).sum(),
-        },
         // ---- extras ---------------------------------------------------
         GradSpec {
             name: "extras::clamp_interior",
@@ -1274,7 +1273,6 @@ mod tests {
             "arith",
             "extras",
             "index",
-            "kernels",
             "loss",
             "matmul",
             "norm",
