@@ -412,12 +412,11 @@ fn gemm_on_panels<const TM: usize, const TN: usize>(
     pool::give(apack);
 }
 
-/// The one driver for every layout at both tiers: `layout` picks the
-/// B-panel packer (`Abt` transposes B) and the A-strip packer (`Atb`
-/// transposes A), B is packed into pooled scratch panels
-/// ([`pack_b_panels`]), and one compute pass runs over them
-/// ([`gemm_on_panels`]). [`PackedAbt`] runs the same two steps with the
-/// packing done once ahead of time.
+/// Runs every layout at both tiers: `layout` picks the B-panel packer
+/// (`Abt` transposes B) and the A-strip packer (`Atb` transposes A), B is
+/// packed into pooled panels ([`pack_b_panels`]), and one compute pass runs
+/// over them ([`gemm_on_panels`]). [`PackedAbt`] runs the same two steps
+/// with the packing done once ahead of time.
 ///
 /// The packers go to the compute pass as `&dyn` closures. Inlined into one
 /// body that branches on the layout, the packing and store loops ran
