@@ -2,7 +2,10 @@
 //!
 //! The ablation behind the dyadic-relation design choice: the extended
 //! attention (eq. 14–16) versus standard self-attention, across sequence
-//! lengths.
+//! lengths. `dyadic/{t}` and `standard/{t}` time the all-queries
+//! reference (`attend`, `t²` keys on the dyadic path); `dyadic_last/{t}`
+//! and `standard_last/{t}` time the star-query form EMBSR runs
+//! (`attend_last`, `t` keys).
 
 use embsr_nn::OpAwareSelfAttention;
 use embsr_obs::bench::{black_box, Bench};
@@ -26,10 +29,16 @@ fn main() {
             group.bench_function(format!("dyadic/{t}"), |b| {
                 b.iter(|| black_box(dyadic.attend(black_box(&xs), black_box(&ops))))
             });
+            group.bench_function(format!("dyadic_last/{t}"), |b| {
+                b.iter(|| black_box(dyadic.attend_last(black_box(&xs), black_box(&ops))))
+            });
 
             let standard = OpAwareSelfAttention::new(dim, num_ops, 64, false, &mut rng);
             group.bench_function(format!("standard/{t}"), |b| {
                 b.iter(|| black_box(standard.attend(black_box(&xs), black_box(&ops))))
+            });
+            group.bench_function(format!("standard_last/{t}"), |b| {
+                b.iter(|| black_box(standard.attend_last(black_box(&xs), black_box(&ops))))
             });
         }
     }

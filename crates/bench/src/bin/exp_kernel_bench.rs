@@ -12,6 +12,14 @@
 //! `--tier {packed,simd,all}` restricts the sweep (default `all`; the
 //! baseline check needs the full sweep since it gates both ratio families).
 //!
+//! Each GEMM shape is timed as [`ROUNDS`] interleaved rounds: every round
+//! runs the reference, packed and simd kernels once each, in an order that
+//! rotates from round to round, and each ratio is the **median of the
+//! per-round ratios**. A host stall then spoils a round or two instead of
+//! a whole tier's single timing block, and tiers that drift together with
+//! the host cancel inside each round. The JSON rows report the median
+//! round.
+//!
 //! The CI bench-regression job runs this with
 //! `--check-baseline crates/bench/kernel_baseline.json`: the **speedup
 //! ratios** (machine-portable, unlike raw GFLOP/s) — packed-vs-reference
@@ -48,27 +56,81 @@ const GATHER_ROWS: usize = 4096;
 /// baseline before the regression check fails.
 const REGRESSION_TOLERANCE: f64 = 0.15;
 
+/// Interleaved timing rounds per GEMM shape; the work budget is split
+/// evenly across them.
+const ROUNDS: usize = 21;
+
 fn sample(rng: &mut Rng, n: usize) -> Vec<f32> {
     (0..n).map(|_| rng.uniform_range(-1.0, 1.0)).collect()
 }
 
-/// Seconds per call for one GEMM kernel on a `d × d × d` problem, measured
-/// over `iters` calls after a short warmup. The output is re-zeroed each
-/// call (identical cost on both sides of every ratio) so accumulators stay
-/// finite no matter how many samples the budget buys.
-fn time_gemm(kernel: Kernel, a: &[f32], b: &[f32], out: &mut [f32], d: usize, iters: usize) -> f64 {
-    for _ in 0..iters.div_ceil(10).max(2) {
-        out.fill(0.0);
-        kernel(a, b, out, d, d, d);
+/// Median of a non-empty sample.
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// A timed GEMM: the scalar reference (`None`, called directly) or the
+/// dispatched kernel at a tier.
+type Contender = (Option<KernelTier>, Kernel);
+
+/// Seconds per call for `calls` calls of one contender on a `d × d × d`
+/// problem. The output is re-zeroed each call (identical cost on every
+/// side of every ratio) so accumulators stay finite no matter how many
+/// samples the budget buys.
+fn time_gemm(
+    (tier, kernel): Contender,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    d: usize,
+    calls: usize,
+) -> f64 {
+    let body = |out: &mut [f32]| {
+        let span = embsr_obs::span("embsr_bench", "kernel_gemm");
+        for _ in 0..calls {
+            out.fill(0.0);
+            kernel(black_box(a), black_box(b), out, d, d, d);
+        }
+        let secs = span.elapsed().as_secs_f64();
+        black_box(&out[0]);
+        secs / calls as f64
+    };
+    match tier {
+        Some(t) => kernels::with_tier(t, || body(out)),
+        None => body(out),
     }
-    let span = embsr_obs::span("embsr_bench", "kernel_gemm");
-    for _ in 0..iters {
-        out.fill(0.0);
-        kernel(black_box(a), black_box(b), out, d, d, d);
+}
+
+/// Seconds per call of each contender, one entry per round: a warmup of
+/// `warmup` calls each, then [`ROUNDS`] rounds of `calls` calls each. Round
+/// `r` starts at contender `r mod n` and runs the rest in cyclic order, so
+/// each contender leads an equal share of the rounds.
+fn time_rounds(
+    contenders: &[Contender],
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    d: usize,
+    (warmup, calls): (usize, usize),
+) -> Vec<Vec<f64>> {
+    for &c in contenders {
+        time_gemm(c, a, b, out, d, warmup);
     }
-    let secs = span.elapsed().as_secs_f64();
-    black_box(&out[0]);
-    secs / iters as f64
+    let n = contenders.len();
+    let mut secs = vec![Vec::with_capacity(ROUNDS); n];
+    for r in 0..ROUNDS {
+        for k in 0..n {
+            let i = (r + k) % n;
+            secs[i].push(time_gemm(contenders[i], a, b, out, d, calls));
+        }
+    }
+    secs
+}
+
+/// The median over rounds of `num[r] / den[r]`.
+fn median_ratio(num: &[f64], den: &[f64]) -> f64 {
+    median(num.iter().zip(den).map(|(n, d)| n / d).collect())
 }
 
 /// Seconds per call for a closure, measured over `iters` calls after a
@@ -135,30 +197,29 @@ fn main() {
         let mut out = vec![0.0f32; d * d];
         let flops_per_call = 2.0 * (d * d * d) as f64;
         let iters = ((flop_budget / flops_per_call) as usize).clamp(5, 200_000);
+        let calls = iters.div_ceil(ROUNDS);
 
         for (name, dispatched, reference) in variants {
-            let reference_secs = time_gemm(reference, &a, &b, &mut out, d, iters);
-            let reference_gflops = flops_per_call / reference_secs / 1e9;
-            // seconds per call at each measured tier, in tier order
-            let mut tier_secs: Vec<(KernelTier, f64)> = Vec::new();
-            for &tier in &tiers {
-                let secs = kernels::with_tier(tier, || {
-                    time_gemm(dispatched, &a, &b, &mut out, d, iters)
-                });
-                tier_secs.push((tier, secs));
-            }
-            let secs_of = |t: KernelTier| tier_secs.iter().find(|(x, _)| *x == t).map(|(_, s)| *s);
+            // Contender 0 is the reference, then one per measured tier.
+            let mut contenders: Vec<Contender> = vec![(None, reference)];
+            contenders.extend(tiers.iter().map(|&t| (Some(t), dispatched)));
+            let warmup = iters.div_ceil(10).max(2);
+            let secs = time_rounds(&contenders, &a, &b, &mut out, d, (warmup, calls));
+            let rounds_of =
+                |t: KernelTier| tiers.iter().position(|&x| x == t).map(|i| &secs[i + 1]);
+            let reference_gflops = flops_per_call / median(secs[0].clone()) / 1e9;
             let mut line = format!("  {name} d={d}: reference {reference_gflops:.2} GFLOP/s");
-            for &(tier, secs) in &tier_secs {
-                let gflops = flops_per_call / secs / 1e9;
-                let vs_ref = reference_secs / secs;
+            for (&tier, tier_secs) in tiers.iter().zip(&secs[1..]) {
+                let gflops = flops_per_call / median(tier_secs.clone()) / 1e9;
+                let vs_ref = median_ratio(&secs[0], tier_secs);
                 line += &format!(" · {} {gflops:.2} GFLOP/s ({vs_ref:.2}× ref)", tier.name());
                 rows.push(JsonValue::object(vec![
                     ("experiment", JsonValue::String("kernel_bench".into())),
                     ("kernel", JsonValue::String(name.into())),
                     ("tier", JsonValue::String(tier.name().into())),
                     ("dim", JsonValue::Number(d as f64)),
-                    ("iters", JsonValue::Number(iters as f64)),
+                    ("rounds", JsonValue::Number(ROUNDS as f64)),
+                    ("iters", JsonValue::Number((calls * ROUNDS) as f64)),
                     ("gflops", JsonValue::Number(gflops)),
                     ("reference_gflops", JsonValue::Number(reference_gflops)),
                     ("speedup_vs_reference", JsonValue::Number(vs_ref)),
@@ -167,11 +228,11 @@ fn main() {
             println!("{line}");
             // Ratio families for the portable regression gate: packed vs
             // scalar reference (the historical keys) and vectorized vs
-            // packed (the new tier's multiplier).
-            if let Some(packed_secs) = secs_of(KernelTier::Packed) {
-                speedups.push((format!("{name}_d{d}"), reference_secs / packed_secs));
-                if let Some(simd_secs) = secs_of(KernelTier::Simd) {
-                    speedups.push((format!("simd_{name}_d{d}"), packed_secs / simd_secs));
+            // packed (the new tier's multiplier), each the median round.
+            if let Some(packed) = rounds_of(KernelTier::Packed) {
+                speedups.push((format!("{name}_d{d}"), median_ratio(&secs[0], packed)));
+                if let Some(simd) = rounds_of(KernelTier::Simd) {
+                    speedups.push((format!("simd_{name}_d{d}"), median_ratio(packed, simd)));
                 }
             }
         }

@@ -297,12 +297,16 @@ fn main() {
     for r in &slo_reports {
         let state = if r.met { "met" } else { "MISSED" };
         println!(
-            "  slo {}: {} (measured {:.0}us over {} samples, budget consumed {:.2})",
+            "  slo {}: {} (measured {:.0}us over {} samples, violating {:.4}–{:.4}, \
+             budget consumed {:.2}–{:.2})",
             r.spec.display(),
             state,
             r.measured_us,
             r.samples,
-            r.budget_consumed
+            r.violation_fraction.0,
+            r.violation_fraction.1,
+            r.budget_consumed.0,
+            r.budget_consumed.1
         );
     }
 

@@ -342,8 +342,8 @@ impl SessionModel for Embsr {
             let full = self.dropout.forward(&full, &mut ctx);
             let mut att_ops = event_ops.clone();
             att_ops.push(self.cfg.virtual_next_op());
-            let z = self.attention.attend(&full, &att_ops); // [t+1, d]
-            let z_star = z.slice_rows(t, t + 1); // [1, d]
+            // Only the star row z_s feeds eq. 17, so only its query runs.
+            let z_star = self.attention.attend_last(&full, &att_ops); // [1, d]
             self.ffn.forward(&z_star, &mut ctx).reshape(&[d])
         } else {
             global

@@ -36,7 +36,7 @@
 //! declared dead — a peer that sends half a header must not pin a handler
 //! thread forever.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Leading bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"EMBN";
@@ -166,9 +166,9 @@ impl std::fmt::Display for FrameError {
     }
 }
 
-/// Serializes a frame to bytes. Fails only when the payload exceeds
-/// [`MAX_PAYLOAD`].
-pub fn encode(frame: &Frame) -> Result<Vec<u8>, FrameError> {
+/// The fixed header of `frame`, after the checks every write makes: the
+/// payload fits [`MAX_PAYLOAD`] and the version is [`VERSION`].
+fn header(frame: &Frame) -> Result<[u8; HEADER_LEN], FrameError> {
     let len = frame.payload.len();
     if len as u64 > MAX_PAYLOAD as u64 {
         return Err(FrameError::TooLarge {
@@ -179,22 +179,49 @@ pub fn encode(frame: &Frame) -> Result<Vec<u8>, FrameError> {
     if frame.version != VERSION {
         return Err(FrameError::BadVersion(frame.version));
     }
-    let mut out = Vec::with_capacity(HEADER_LEN + len);
-    out.extend_from_slice(&MAGIC);
-    out.push(frame.version);
-    out.push(frame.kind as u8);
-    out.extend_from_slice(&frame.request_id.to_le_bytes());
-    out.extend_from_slice(&(len as u32).to_le_bytes());
+    let mut h = [0u8; HEADER_LEN];
+    h[..4].copy_from_slice(&MAGIC);
+    h[4] = frame.version;
+    h[5] = frame.kind as u8;
+    h[6..14].copy_from_slice(&frame.request_id.to_le_bytes());
+    h[14..].copy_from_slice(&(len as u32).to_le_bytes());
+    Ok(h)
+}
+
+/// Serializes a frame to bytes. Fails only when the payload exceeds
+/// [`MAX_PAYLOAD`] or the version is not [`VERSION`].
+pub fn encode(frame: &Frame) -> Result<Vec<u8>, FrameError> {
+    let header = header(frame)?;
+    let mut out = Vec::with_capacity(HEADER_LEN + frame.payload.len());
+    out.extend_from_slice(&header);
     out.extend_from_slice(&frame.payload);
     Ok(out)
 }
 
-/// Writes one frame to the transport and flushes it.
+/// Writes one frame to the transport and flushes it. The bytes are
+/// exactly [`encode`]'s, but the payload is written in place: the header
+/// comes from a stack array and both go out through `write_vectored`,
+/// looping on short writes, so a large response is never copied. A frame
+/// that [`encode`] refuses writes no byte.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), FrameError> {
-    let bytes = encode(frame)?;
-    w.write_all(&bytes)
-        .and_then(|()| w.flush())
-        .map_err(|e| FrameError::Io(e.kind(), e.to_string()))
+    let header = header(frame)?;
+    let io_err = |e: io::Error| FrameError::Io(e.kind(), e.to_string());
+    let mut slices = [IoSlice::new(&header), IoSlice::new(&frame.payload)];
+    let mut bufs = &mut slices[..];
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => {
+                return Err(FrameError::Io(
+                    io::ErrorKind::WriteZero,
+                    "failed to write whole frame".into(),
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(io_err(e)),
+        }
+    }
+    w.flush().map_err(io_err)
 }
 
 /// True for the error kinds a read timeout surfaces as (platform-dependent).

@@ -76,6 +76,46 @@ impl Read for Chunked {
     }
 }
 
+/// A transport that accepts at most `max` bytes per write call — the
+/// short-write mock. A vectored write takes across slice boundaries, as
+/// `writev` does, so a short write can end inside either slice.
+struct ShortWriter {
+    written: Vec<u8>,
+    max: usize,
+    flushes: usize,
+}
+
+impl ShortWriter {
+    fn new(max: usize) -> Self {
+        ShortWriter {
+            written: Vec::new(),
+            max,
+            flushes: 0,
+        }
+    }
+}
+
+impl io::Write for ShortWriter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.write_vectored(&[io::IoSlice::new(buf)])
+    }
+
+    fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+        let mut n = 0;
+        for b in bufs {
+            let take = b.len().min(self.max - n);
+            self.written.extend_from_slice(&b[..take]);
+            n += take;
+        }
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.flushes += 1;
+        Ok(())
+    }
+}
+
 /// A transport that times out immediately, forever.
 struct AlwaysTimeout;
 
@@ -247,6 +287,52 @@ fn oversized_payload_is_refused_at_encode_time() {
             max: MAX_PAYLOAD
         })
     );
+}
+
+#[test]
+fn write_frame_sends_exactly_the_encoded_bytes_across_short_writes() {
+    let mut rng = Rand(0x5407);
+    // Empty, an 8-byte control-sized payload, and a `score-rows` response
+    // (8 rows of |V| = 8192 f32 scores plus the row header).
+    for len in [0usize, 8, 262_188] {
+        let frame = random_frame(&mut rng, len);
+        let want = encode(&frame).expect("within cap");
+        for max in [1usize, 17, HEADER_LEN, HEADER_LEN + 1, 4096] {
+            let mut w = ShortWriter::new(max);
+            write_frame(&mut w, &frame).expect("writes");
+            assert!(
+                w.written == want,
+                "payload {len}, at most {max} bytes per write"
+            );
+            assert_eq!(w.flushes, 1);
+        }
+    }
+}
+
+#[test]
+fn write_frame_refuses_a_bad_frame_before_writing_any_byte() {
+    let oversized = Frame::new(
+        FrameKind::ScoreResponse,
+        1,
+        vec![0u8; MAX_PAYLOAD as usize + 1],
+    );
+    let wrong_version = Frame {
+        version: VERSION + 1,
+        ..Frame::new(FrameKind::ScoreRequest, 2, vec![1, 2, 3])
+    };
+    let want = [
+        FrameError::TooLarge {
+            len: MAX_PAYLOAD as u64 + 1,
+            max: MAX_PAYLOAD,
+        },
+        FrameError::BadVersion(VERSION + 1),
+    ];
+    for (frame, want) in [oversized, wrong_version].iter().zip(want) {
+        let mut w = ShortWriter::new(4096);
+        assert_eq!(write_frame(&mut w, frame), Err(want));
+        assert!(w.written.is_empty());
+        assert_eq!(w.flushes, 0);
+    }
 }
 
 #[test]

@@ -64,6 +64,20 @@ fn op_aware_attention_gradcheck() {
 }
 
 #[test]
+fn op_aware_attention_last_row_gradcheck() {
+    for dyadic in [true, false] {
+        let att = OpAwareSelfAttention::new(3, 2, 4, dyadic, &mut Rng::seed_from_u64(4));
+        let x = input(&[0.1, -0.2, 0.3, 0.0, 0.4, -0.1, 0.2, 0.5, -0.3], &[3, 3]);
+        check_gradient(
+            &x,
+            |t| att.attend_last(t, &[0, 1, 1]).square().sum(),
+            1e-3,
+            8e-2,
+        );
+    }
+}
+
+#[test]
 fn ffn_gradcheck() {
     let ffn = Ffn::new(4, 0.0, &mut Rng::seed_from_u64(5));
     let x = input(&[0.2, -0.6, 0.9, 0.1], &[1, 4]);

@@ -122,16 +122,25 @@ fn bucket_index(v: u64) -> usize {
     octave as usize * SUBS + sub
 }
 
-/// Midpoint of a bucket's value range (its representative for quantiles).
-fn bucket_mid(idx: usize) -> f64 {
+/// A bucket's value range as `(lowest, highest)`, both inclusive.
+fn bucket_range(idx: usize) -> (u64, u64) {
     if idx < SUBS {
-        return idx as f64;
+        return (idx as u64, idx as u64);
     }
     let octave = (idx / SUBS) as u32;
     let sub = (idx % SUBS) as u64;
     let width = 1u64 << (octave - SUB_BITS);
     let lower = (1u64 << octave) + sub * width;
-    lower as f64 + width as f64 / 2.0
+    (lower, lower + (width - 1))
+}
+
+/// Midpoint of a bucket's value range (its representative for quantiles).
+fn bucket_mid(idx: usize) -> f64 {
+    let (lo, hi) = bucket_range(idx);
+    if idx < SUBS {
+        return lo as f64;
+    }
+    lo as f64 + (hi - lo + 1) as f64 / 2.0
 }
 
 impl Histogram {
@@ -201,13 +210,14 @@ impl Histogram {
         }
     }
 
-    /// Fraction of recorded samples above `threshold` (`0.0` when empty),
-    /// judged by bucket midpoint — subject to the same ≤1/32 (~3.1%)
-    /// relative bucketing error as [`Histogram::quantile`]. This is the violation
-    /// rate the SLO error-budget accounting consumes.
-    pub fn fraction_above(&self, threshold: u64) -> f64 {
-        let mut total = 0u64;
-        let mut above = 0u64;
+    /// Bounds `(lower, upper)` on the fraction of recorded samples above
+    /// `threshold` (`(0.0, 0.0)` when empty), exact from the bucket counts:
+    /// buckets wholly above the threshold give the lower bound, and adding
+    /// the buckets that straddle it gives the upper. The true fraction
+    /// always lies inside. This is the violation rate the SLO error-budget
+    /// accounting consumes.
+    pub fn fraction_above_bounds(&self, threshold: u64) -> (f64, f64) {
+        let (mut total, mut above, mut straddling) = (0u64, 0u64, 0u64);
         // ordering: Relaxed — same best-effort bucket snapshot as quantile.
         for (idx, b) in self.buckets.iter().enumerate() {
             let c = b.load(Ordering::Relaxed);
@@ -215,15 +225,18 @@ impl Histogram {
                 continue;
             }
             total += c;
-            if bucket_mid(idx) > threshold as f64 {
+            let (lo, hi) = bucket_range(idx);
+            if lo > threshold {
                 above += c;
+            } else if hi > threshold {
+                straddling += c;
             }
         }
         if total == 0 {
-            0.0
-        } else {
-            above as f64 / total as f64
+            return (0.0, 0.0);
         }
+        let n = total as f64;
+        (above as f64 / n, (above + straddling) as f64 / n)
     }
 
     pub fn reset(&self) {
@@ -433,16 +446,53 @@ mod tests {
     #[test]
     fn fraction_above_tracks_the_tail() {
         let h = Histogram::default();
-        assert_eq!(h.fraction_above(0), 0.0);
+        assert_eq!(h.fraction_above_bounds(0), (0.0, 0.0));
         for v in 1..=1_000u64 {
             h.record(v);
         }
-        // ~10% of the uniform range exceeds 900, within bucketing error.
-        let frac = h.fraction_above(900);
-        assert!((frac - 0.10).abs() < 0.05, "fraction {frac}");
-        assert_eq!(h.fraction_above(u64::MAX), 0.0);
-        let all = h.fraction_above(0);
-        assert!(all > 0.99, "almost everything above 0, got {all}");
+        // Exactly 10% of the uniform range exceeds 900; the interval
+        // brackets it.
+        let (lo, hi) = h.fraction_above_bounds(900);
+        assert!(lo <= 0.10 && 0.10 <= hi, "[{lo}, {hi}]");
+        assert!(hi - lo < 0.05, "[{lo}, {hi}] is wider than one bucket");
+        assert_eq!(h.fraction_above_bounds(u64::MAX), (0.0, 0.0));
+        // Every sample is at least 1, and 0 has a bucket of its own.
+        assert_eq!(h.fraction_above_bounds(0), (1.0, 1.0));
+    }
+
+    #[test]
+    fn a_straddling_bucket_spans_the_whole_interval() {
+        // 100 and 103 share the [100, 103] bucket; 101 splits it.
+        let h = Histogram::default();
+        for v in [100u64, 103] {
+            h.record(v);
+        }
+        assert_eq!(h.fraction_above_bounds(101), (0.0, 1.0));
+    }
+
+    #[test]
+    fn samples_wholly_above_give_a_point_interval() {
+        let h = Histogram::default();
+        for v in [100u64, 103, 5_000, 1 << 40] {
+            h.record(v);
+        }
+        assert_eq!(h.fraction_above_bounds(99), (1.0, 1.0));
+        assert_eq!(h.fraction_above_bounds(u64::MAX), (0.0, 0.0));
+    }
+
+    #[test]
+    fn bucket_ranges_tile_the_u64_line() {
+        // Values below SUBS index themselves; octaves from SUB_BITS up hold
+        // the rest, so indices SUBS..SUB_BITS·SUBS are never used.
+        let mut next = 0u64;
+        for idx in (0..SUBS).chain(SUB_BITS as usize * SUBS..BUCKETS) {
+            let (lo, hi) = bucket_range(idx);
+            assert_eq!(lo, next, "bucket {idx} starts where the previous one ended");
+            assert!(lo <= hi);
+            assert_eq!((bucket_index(lo), bucket_index(hi)), (idx, idx));
+            next = hi.wrapping_add(1);
+        }
+        assert_eq!(next, 0, "the last bucket ends at u64::MAX");
     }
 
     #[test]

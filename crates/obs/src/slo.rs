@@ -13,8 +13,10 @@
 //!
 //! [`evaluate`] reads the named histograms from the registry
 //! ([`metrics::histogram`]) at call time — it is a point-in-time check,
-//! not a monitor. Both the quantile estimate and the violation fraction
-//! inherit the histogram's ≤1/32 (~3.1%) bucketing error.
+//! not a monitor. The quantile estimate inherits the histogram's ≤1/32
+//! (~3.1%) bucketing error; the violation fraction is reported as an
+//! interval that is exact from the bucket counts (samples in a bucket
+//! that straddles the objective may lie on either side, so they widen it).
 
 use crate::json::JsonValue;
 use crate::metrics;
@@ -106,11 +108,14 @@ pub struct SloReport {
     pub measured_us: f64,
     /// Objective met? An empty histogram is vacuously met.
     pub met: bool,
-    /// Fraction of samples above the objective.
-    pub violation_fraction: f64,
-    /// `violation_fraction / budget`: `>= 1.0` means the error budget is
-    /// exhausted.
-    pub budget_consumed: f64,
+    /// Bounds `(lower, upper)` on the fraction of samples above the
+    /// objective; the true fraction lies inside
+    /// ([`metrics::Histogram::fraction_above_bounds`]).
+    pub violation_fraction: (f64, f64),
+    /// Both bounds of `violation_fraction / budget`: a lower bound
+    /// `>= 1.0` means the error budget is certainly exhausted, an upper
+    /// bound `< 1.0` that it certainly is not.
+    pub budget_consumed: (f64, f64),
 }
 
 impl SloReport {
@@ -125,8 +130,10 @@ impl SloReport {
             ("samples", self.samples.into()),
             ("measured_us", self.measured_us.into()),
             ("met", self.met.into()),
-            ("violation_fraction", self.violation_fraction.into()),
-            ("budget_consumed", self.budget_consumed.into()),
+            ("violation_fraction_lo", self.violation_fraction.0.into()),
+            ("violation_fraction_hi", self.violation_fraction.1.into()),
+            ("budget_consumed_lo", self.budget_consumed.0.into()),
+            ("budget_consumed_hi", self.budget_consumed.1.into()),
         ])
     }
 }
@@ -140,15 +147,15 @@ pub fn evaluate(specs: &[SloSpec]) -> Vec<SloReport> {
             let h = metrics::histogram(&spec.metric);
             let samples = h.count();
             let measured_us = h.quantile(spec.quantile);
-            let violation_fraction = h.fraction_above(spec.objective_us);
+            let (lo, hi) = h.fraction_above_bounds(spec.objective_us);
             let met = samples == 0 || measured_us <= spec.objective_us as f64;
             SloReport {
                 spec: spec.clone(),
                 samples,
                 measured_us,
                 met,
-                violation_fraction,
-                budget_consumed: violation_fraction / spec.budget,
+                violation_fraction: (lo, hi),
+                budget_consumed: (lo / spec.budget, hi / spec.budget),
             }
         })
         .collect()
@@ -205,13 +212,15 @@ mod tests {
         ];
         let reports = evaluate(&specs);
         assert_eq!(reports.len(), 2);
-        // p50 ~ 100µs: met, ~2% of samples above objective, budget 0.5.
+        // p50 ~ 100µs: met, exactly 2% of samples above objective, budget
+        // 0.5.
         assert!(reports[0].met, "p50 {}", reports[0].measured_us);
-        assert!((reports[0].violation_fraction - 0.02).abs() < 0.01);
-        assert!(reports[0].budget_consumed < 0.1);
+        let (lo, hi) = reports[0].violation_fraction;
+        assert!(lo <= 0.02 && 0.02 <= hi, "[{lo}, {hi}]");
+        assert!(reports[0].budget_consumed.1 < 0.1);
         // p99 ~ 10000µs: violated, budget exhausted (2% > 1%).
         assert!(!reports[1].met, "p99 {}", reports[1].measured_us);
-        assert!(reports[1].budget_consumed > 1.0);
+        assert!(reports[1].budget_consumed.0 > 1.0);
         assert_eq!(reports[1].samples, 100);
         h.reset();
     }
@@ -223,7 +232,7 @@ mod tests {
         assert!(r.met);
         assert_eq!(r.samples, 0);
         assert!(r.measured_us.is_nan());
-        assert_eq!(r.budget_consumed, 0.0);
+        assert_eq!(r.budget_consumed, (0.0, 0.0));
         let v = r.to_json_value();
         assert_eq!(v.get("met").unwrap().as_bool(), Some(true));
         assert_eq!(v.get("samples").unwrap().as_f64(), Some(0.0));
