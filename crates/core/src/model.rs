@@ -4,7 +4,7 @@ use embsr_nn::{
     Dropout, Embedding, Ffn, Forward, FusionGate, GgnnCell, Gru, Highway, Linear, Module,
     ModuleCtx, OpAwareSelfAttention, StarAttention, StarGate,
 };
-use embsr_sessions::{Session, SessionGraph};
+use embsr_sessions::{EdgeEndpoint, Session, SessionGraph};
 use embsr_tensor::{Rng, Tensor};
 use embsr_train::{Head, Scorer, SessionModel};
 
@@ -116,127 +116,121 @@ impl Embsr {
     // ------------------------------------------------------------------
 
     /// Encodes each macro step's operation sub-sequence with the GRU
-    /// (eq. 3–4). Returns `h̃ ∈ [n, d]`, or zeros when the op GRU is ablated.
-    fn op_sequence_encodings(&self, graph: &SessionGraph) -> Tensor {
-        let n = graph.num_steps();
-        let d = self.cfg.dim;
+    /// (eq. 3–4), over every step of every graph. Returns `h̃ ∈ [Σn, d]` with
+    /// the steps stacked in graph order, or zeros when the op GRU is ablated.
+    fn op_sequence_encodings(&self, graphs: &[SessionGraph]) -> Tensor {
+        let steps = graphs.iter().flat_map(|g| &g.steps);
         if !self.cfg.use_op_gru {
-            return Tensor::zeros(&[n, d]);
+            return Tensor::zeros(&[steps.count(), self.cfg.dim]);
         }
-        // One embedding lookup per step; the GRU batches the sub-sequences
-        // itself (lockstep under inference, per-step taped loop otherwise).
-        let embs: Vec<Tensor> = graph
-            .steps
-            .iter()
+        // One embedding lookup per step (the order in which gradients reach
+        // the op table); the GRU batches the sub-sequences itself (lockstep
+        // under inference, per-step taped loop otherwise).
+        let embs: Vec<Tensor> = steps
             .map(|step| {
                 let idx: Vec<usize> = step.ops.iter().map(|&o| o as usize).collect();
                 self.op_embeddings(&idx) // [k, d]
             })
             .collect();
         let refs: Vec<&Tensor> = embs.iter().collect();
-        self.op_gru.last_states(&refs) // [n, d]
+        self.op_gru.last_states(&refs) // [Σn, d]
     }
 
-    /// Builds the constant scatter matrix `[c, E]` mapping edge messages to
-    /// their aggregating node (eq. 7); returns `None` when the edge list is
-    /// empty.
-    fn scatter_matrix(num_nodes: usize, owners: &[usize]) -> Option<Tensor> {
-        if owners.is_empty() {
-            return None;
-        }
-        let e = owners.len();
-        let mut a = vec![0.0f32; num_nodes * e];
-        for (col, &node) in owners.iter().enumerate() {
-            a[node * e + col] = 1.0;
-        }
-        Some(Tensor::from_vec(a, &[num_nodes, e]))
-    }
-
-    /// One direction of message passing: gathers `[e_{u_j} ; h̃_j]` per edge,
-    /// applies the message function, and scatter-sums per node (eq. 5–7).
+    /// One direction of message passing over the batch's stacked nodes:
+    /// gathers `[e_{u_j} ; h̃_j]` per edge, applies the message function to
+    /// every edge at once, and sums each node's messages (eq. 5–7).
     fn aggregate_direction(
         &self,
-        node_embs: &Tensor,
+        h: &Tensor,
         h_tilde: &Tensor,
-        edges: &[Vec<embsr_sessions::EdgeEndpoint>],
+        edges: &EdgeList,
         msg: &Linear,
     ) -> Tensor {
-        let c = node_embs.rows();
-        let d = self.cfg.dim;
-        let mut owners = Vec::new();
-        let mut src_nodes = Vec::new();
-        let mut src_steps = Vec::new();
-        for (i, es) in edges.iter().enumerate() {
-            for e in es {
-                owners.push(i);
-                src_nodes.push(e.node);
-                src_steps.push(e.step);
-            }
+        if edges.owners.is_empty() {
+            return Tensor::zeros(&[h.rows(), self.cfg.dim]);
         }
-        match Self::scatter_matrix(c, &owners) {
-            None => Tensor::zeros(&[c, d]),
-            Some(scatter) => {
-                let neigh = node_embs.gather_rows(&src_nodes); // [E, d]
-                let seqs = h_tilde.gather_rows(&src_steps); // [E, d]
-                let messages = msg.apply(&neigh.concat_cols(&seqs)); // [E, d]
-                scatter.matmul(&messages) // [c, d]
-            }
-        }
+        let neigh = h.gather_rows(&edges.src_nodes); // [E, d]
+        let seqs = h_tilde.gather_rows(&edges.src_steps); // [E, d]
+        let messages = msg.apply(&neigh.concat_cols(&seqs)); // [E, d]
+        messages.segment_sum(&edges.owners, h.rows()) // [Σc, d]
     }
 
-    /// Runs the star-GNN stack and returns `(h_f, e_us)`: the final satellite
-    /// representations `[c, d]` and the star embedding `[d]`.
-    fn encode_graph(&self, graph: &SessionGraph) -> (Tensor, Tensor) {
-        let node_idx: Vec<usize> = graph.nodes.iter().map(|&i| i as usize).collect();
-        let h0 = self.items.lookup(&node_idx); // [c, d] (eq. 1)
-        let mut star = h0.mean_rows(); // [d] (eq. 2)
+    /// Runs the star-GNN stack over the disjoint union of `graphs` and
+    /// returns `(h_f, stars)`: the final satellite representations `[Σc, d]`
+    /// (nodes stacked in graph order, `nodes` their offsets) and one star
+    /// embedding `[d]` per graph.
+    fn encode_graphs(&self, graphs: &[SessionGraph], nodes: &[usize]) -> (Tensor, Vec<Tensor>) {
+        let node_idx: Vec<usize> = graphs
+            .iter()
+            .flat_map(|g| g.nodes.iter().map(|&i| i as usize))
+            .collect();
+        let h0 = self.items.lookup(&node_idx); // [Σc, d] (eq. 1)
+        let mut stars: Vec<Tensor> = (0..graphs.len())
+            .map(|b| segment(&h0, nodes, b).mean_rows()) // [d] (eq. 2)
+            .collect();
 
         if self.cfg.backbone != Backbone::StarGnn {
-            return (h0, star);
+            return (h0, stars);
         }
 
-        let h_tilde = self.op_sequence_encodings(graph);
+        let steps = offsets(graphs.iter().map(SessionGraph::num_steps));
+        let h_tilde = self.op_sequence_encodings(graphs);
+        let in_edges = EdgeList::union(graphs, nodes, &steps, |g| &g.in_edges);
+        let out_edges = EdgeList::union(graphs, nodes, &steps, |g| &g.out_edges);
         let mut h = h0.clone();
         for _ in 0..self.cfg.gnn_layers {
-            let agg_in = self.aggregate_direction(&h, &h_tilde, &graph.in_edges, &self.msg_in);
-            let agg_out = self.aggregate_direction(&h, &h_tilde, &graph.out_edges, &self.msg_out);
-            let a = agg_in.concat_cols(&agg_out); // [c, 2d] (eq. 7)
+            let agg_in = self.aggregate_direction(&h, &h_tilde, &in_edges, &self.msg_in);
+            let agg_out = self.aggregate_direction(&h, &h_tilde, &out_edges, &self.msg_out);
+            let a = agg_in.concat_cols(&agg_out); // [Σc, 2d] (eq. 7)
             let updated = self.ggnn.update(&a, &h); // (eq. 8)
-            h = self.star_gate.propagate(&updated, &star); // (eq. 9)
-            star = self.star_attn.attend(&h, &star); // (eq. 10)
+            let mut parts = Vec::with_capacity(graphs.len());
+            for (b, star) in stars.iter_mut().enumerate() {
+                let hb = self.star_gate.propagate(&segment(&updated, nodes, b), star); // (eq. 9)
+                *star = self.star_attn.attend(&hb, star); // (eq. 10)
+                parts.push(hb);
+            }
+            h = stack(parts);
         }
         let h_f = self.highway.blend(&h0, &h); // (eq. 11)
-        (h_f, star)
+        (h_f, stars)
     }
 
     // ------------------------------------------------------------------
     // Attention inputs (eq. 12–13)
     // ------------------------------------------------------------------
 
-    /// Builds the micro-level input sequence `X_t` (`[t, d]`) and the per-row
-    /// operation ids; item representations come from the satellite rows.
-    fn attention_inputs(&self, session: &Session, graph: &SessionGraph, h_f: &Tensor) -> (Tensor, Vec<usize>) {
+    /// Builds the micro-level input sequences `X_t` of every session,
+    /// stacked as `[Σt, d]` in session order; item representations come
+    /// from the satellite rows `h_f` (nodes at offsets `nodes`).
+    fn attention_inputs(
+        &self,
+        sessions: &[Session],
+        graphs: &[SessionGraph],
+        nodes: &[usize],
+        h_f: &Tensor,
+    ) -> Tensor {
         // map each micro event to its macro step (and thus its node)
-        let mut event_nodes = Vec::with_capacity(session.len());
-        let mut event_ops = Vec::with_capacity(session.len());
-        let mut step = 0usize;
-        let mut remaining = graph.steps[0].ops.len();
-        for e in &session.events {
-            if remaining == 0 {
-                step += 1;
-                remaining = graph.steps[step].ops.len();
+        let mut event_nodes = Vec::new();
+        let mut event_ops = Vec::new();
+        for ((session, graph), &base) in sessions.iter().zip(graphs).zip(nodes) {
+            let mut step = 0usize;
+            let mut remaining = graph.steps[0].ops.len();
+            for e in &session.events {
+                if remaining == 0 {
+                    step += 1;
+                    remaining = graph.steps[step].ops.len();
+                }
+                event_nodes.push(base + graph.step_node[step]);
+                event_ops.push(e.op as usize);
+                remaining -= 1;
             }
-            event_nodes.push(graph.step_node[step]);
-            event_ops.push(e.op as usize);
-            remaining -= 1;
         }
-        let item_part = h_f.gather_rows(&event_nodes); // [t, d]
-        let xs = if self.cfg.use_abs_op {
+        let item_part = h_f.gather_rows(&event_nodes); // [Σt, d]
+        if self.cfg.use_abs_op {
             item_part.add(&self.op_embeddings(&event_ops))
         } else {
             item_part
-        };
-        (xs, event_ops)
+        }
     }
 
     /// RNN-Self backbone: GRU over `[e_v ; e_o]` per micro event; returns
@@ -247,6 +241,150 @@ impl Embsr {
         let ev = self.items.lookup(&items); // [t, d]
         let eo = self.ops.lookup(&ops); // [t, d]
         self.rnn.apply(&ev.concat_cols(&eo)) // [t, d]
+    }
+
+    /// The encoder over a batch of sessions (eq. 1–18): row `b` of the
+    /// `[B, d]` result is the fused representation `m` of `sessions[b]`
+    /// (each truncated internally).
+    ///
+    /// The batch shares every stage whose rows are computed independently:
+    /// the embedding lookups, the op-GRU lockstep, each GGNN layer on the
+    /// disjoint union of the session graphs (one message `Linear` over all
+    /// edges, `segment_sum` per node), the highway, the FFN and the fusion —
+    /// GEMMs, gathers and elementwise passes, so a row is the same whichever
+    /// rows share its pass. The star gate, star attention and the star-query
+    /// attention run per session on its own segment of the stacked rows. A
+    /// row therefore never depends on its batch-mates, and a batch of one
+    /// builds the same graph as the single-session taped forward did before
+    /// batching (no slice or concat node), which training differentiates.
+    fn encode(&self, sessions: &[&Session], training: bool, rng: &mut Rng) -> Tensor {
+        assert!(!sessions.is_empty(), "encoding an empty batch");
+        let sessions: Vec<Session> = sessions
+            .iter()
+            .map(|s| {
+                assert!(!s.is_empty(), "representation of an empty session");
+                embsr_train::truncate_session(s, self.cfg.max_len)
+            })
+            .collect();
+        let d = self.cfg.dim;
+        let events = offsets(sessions.iter().map(Session::len));
+
+        // --- encode items: stacked `[Σt, d]` inputs and one star each -------
+        let (xs, globals) = match self.cfg.backbone {
+            Backbone::StarGnn | Backbone::None => {
+                let graphs: Vec<SessionGraph> =
+                    sessions.iter().map(SessionGraph::from_session).collect();
+                let nodes = offsets(graphs.iter().map(SessionGraph::num_nodes));
+                let (h_f, stars) = self.encode_graphs(&graphs, &nodes);
+                (
+                    self.attention_inputs(&sessions, &graphs, &nodes, &h_f),
+                    stars,
+                )
+            }
+            Backbone::Rnn => {
+                let hidden: Vec<Tensor> = sessions.iter().map(|s| self.encode_rnn(s)).collect();
+                let globals = hidden.iter().map(Tensor::mean_rows).collect();
+                (stack(hidden), globals)
+            }
+        };
+        let last: Vec<usize> = events[1..].iter().map(|&e| e - 1).collect();
+        let x_t = xs.gather_rows(&last); // [B, d] recent interest (eq. 18 input)
+
+        // --- relational-pattern encoder (eq. 12–17) ------------------------
+        let z_s = if self.cfg.use_attention {
+            let next_op = self.cfg.virtual_next_op();
+            let mut ctx = ModuleCtx::new(training, rng);
+            let mut rows = Vec::with_capacity(sessions.len());
+            for (b, global) in globals.iter().enumerate() {
+                // star token x_s = e_us + e_{o_{t+1}} (eq. 13); the next
+                // operation is unknown, so a dedicated learned id stands in.
+                let x_s = if self.cfg.use_abs_op {
+                    global.add(&self.ops.lookup_one(next_op))
+                } else {
+                    global.clone()
+                };
+                let full = Tensor::concat_rows(&[segment(&xs, &events, b), x_s.reshape(&[1, d])]);
+                let full = self.dropout.forward(&full, &mut ctx);
+                let mut att_ops: Vec<usize> =
+                    sessions[b].events.iter().map(|e| e.op as usize).collect();
+                att_ops.push(next_op);
+                // Only the star row z_s feeds eq. 17, so only its query runs.
+                rows.push(self.attention.attend_last(&full, &att_ops)); // [1, d]
+            }
+            self.ffn.forward(&stack(rows), &mut ctx) // [B, d]
+        } else {
+            stack(globals.iter().map(|g| g.reshape(&[1, d])).collect())
+        };
+
+        // --- fusion (eq. 18) ----------------------------------------------
+        self.fusion.fuse(&z_s, &x_t)
+    }
+}
+
+/// Prefix offsets of a batch's per-session counts: session `b` owns rows
+/// `[off[b], off[b + 1])` of a stacked tensor.
+fn offsets(counts: impl Iterator<Item = usize>) -> Vec<usize> {
+    let mut off = vec![0];
+    for c in counts {
+        off.push(off[off.len() - 1] + c);
+    }
+    off
+}
+
+/// Session `b`'s rows of the stacked `t`. A batch of one is its own segment,
+/// so the single-session graph carries no slice node.
+fn segment(t: &Tensor, off: &[usize], b: usize) -> Tensor {
+    if off.len() == 2 {
+        t.clone()
+    } else {
+        t.slice_rows(off[b], off[b + 1])
+    }
+}
+
+/// Stacks per-session row blocks in session order; a single block passes
+/// through unchanged.
+fn stack(parts: Vec<Tensor>) -> Tensor {
+    match <[Tensor; 1]>::try_from(parts) {
+        Ok([one]) => one,
+        Err(parts) => Tensor::concat_rows(&parts),
+    }
+}
+
+/// One direction's edges over the disjoint union of a batch's multigraphs:
+/// node-major within each graph and graph by graph, with node and step
+/// indices offset into the stacked rows, so each node's messages sum in the
+/// order the single-graph edge list gives them.
+struct EdgeList {
+    /// The aggregating node of each edge.
+    owners: Vec<usize>,
+    /// The neighbor node whose embedding feeds the message.
+    src_nodes: Vec<usize>,
+    /// The macro step whose op encoding `h̃` feeds the message.
+    src_steps: Vec<usize>,
+}
+
+impl EdgeList {
+    fn union(
+        graphs: &[SessionGraph],
+        nodes: &[usize],
+        steps: &[usize],
+        side: impl Fn(&SessionGraph) -> &[Vec<EdgeEndpoint>],
+    ) -> Self {
+        let mut list = EdgeList {
+            owners: Vec::new(),
+            src_nodes: Vec::new(),
+            src_steps: Vec::new(),
+        };
+        for (b, graph) in graphs.iter().enumerate() {
+            for (i, es) in side(graph).iter().enumerate() {
+                for e in es {
+                    list.owners.push(nodes[b] + i);
+                    list.src_nodes.push(nodes[b] + e.node);
+                    list.src_steps.push(steps[b] + e.step);
+                }
+            }
+        }
+        list
     }
 }
 
@@ -304,53 +442,18 @@ impl SessionModel for Embsr {
     }
 
     /// Everything before scoring: encodes the (internally truncated) session
-    /// into the fused representation `m ∈ [d]` of eq. 18.
+    /// into the fused representation `m ∈ [d]` of eq. 18 — the one-session
+    /// case of the batched encoder.
     fn repr(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
-        assert!(!session.is_empty(), "representation of an empty session");
-        let sess = embsr_train::truncate_session(session, self.cfg.max_len);
-        let d = self.cfg.dim;
+        self.encode(&[session], training, rng)
+            .reshape(&[self.cfg.dim])
+    }
 
-        // --- encode items -------------------------------------------------
-        let (xs, event_ops, global) = match self.cfg.backbone {
-            Backbone::StarGnn | Backbone::None => {
-                let graph = SessionGraph::from_session(&sess);
-                let (h_f, star) = self.encode_graph(&graph);
-                let (xs, ops) = self.attention_inputs(&sess, &graph, &h_f);
-                (xs, ops, star)
-            }
-            Backbone::Rnn => {
-                let hidden = self.encode_rnn(&sess); // [t, d]
-                let ops: Vec<usize> = sess.events.iter().map(|e| e.op as usize).collect();
-                let global = hidden.mean_rows();
-                (hidden, ops, global)
-            }
-        };
-        let t = xs.rows();
-        let x_t = xs.row(t - 1); // recent interest (eq. 18 input)
-
-        // --- relational-pattern encoder (eq. 12–17) ------------------------
-        let z_s = if self.cfg.use_attention {
-            // star token x_s = e_us + e_{o_{t+1}} (eq. 13); the next
-            // operation is unknown, so a dedicated learned id stands in.
-            let x_s = if self.cfg.use_abs_op {
-                global.add(&self.ops.lookup_one(self.cfg.virtual_next_op()))
-            } else {
-                global.clone()
-            };
-            let mut ctx = ModuleCtx::new(training, rng);
-            let full = Tensor::concat_rows(&[xs.clone(), x_s.reshape(&[1, d])]);
-            let full = self.dropout.forward(&full, &mut ctx);
-            let mut att_ops = event_ops.clone();
-            att_ops.push(self.cfg.virtual_next_op());
-            // Only the star row z_s feeds eq. 17, so only its query runs.
-            let z_star = self.attention.attend_last(&full, &att_ops); // [1, d]
-            self.ffn.forward(&z_star, &mut ctx).reshape(&[d])
-        } else {
-            global
-        };
-
-        // --- fusion (eq. 18) ----------------------------------------------
-        self.fusion.fuse(&z_s, &x_t)
+    /// The whole batch through one encoder pass; row `b` is bitwise
+    /// `repr(sessions[b])` with dropout off.
+    fn repr_batch(&self, sessions: &[&Session]) -> Tensor {
+        let mut rng = Rng::seed_from_u64(0); // never drawn from: dropout is off
+        self.encode(sessions, false, &mut rng)
     }
 
     fn head(&self) -> Head {

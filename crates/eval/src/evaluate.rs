@@ -45,34 +45,31 @@ impl Evaluation {
     }
 }
 
-/// Sessions scored per [`Recommender::scores_batch`] call during evaluation.
+/// Sessions scored per chunk of an evaluation pass.
 ///
-/// Small enough that a batch's activations stay cache-resident, large enough
-/// to amortize the per-batch item-table normalization of the batched scorers.
+/// Small enough that a chunk's activations and its `|V|`-wide score rows
+/// stay cache-resident, large enough that batched encoders share their
+/// passes across sessions.
 pub const EVAL_BATCH: usize = 32;
 
 /// Evaluates `rec` on `test` at the given cutoffs.
 ///
 /// Sessions whose prefix is empty are skipped (they carry no evidence).
-/// Scoring goes through [`Recommender::scores_batch`] in chunks of
+/// Scoring is one [`Recommender::visit_scores`] pass in chunks of
 /// `EVAL_BATCH` (32); batched overrides are held to bitwise equality with the
 /// per-session path, so the reported metrics are identical either way.
 pub fn evaluate(rec: &dyn Recommender, test: &[Example], ks: &[usize]) -> Evaluation {
     assert!(!ks.is_empty(), "no cutoffs requested");
     let span = embsr_obs::span("embsr_eval", "evaluate");
     let scorable: Vec<&Example> = test.iter().filter(|ex| !ex.session.is_empty()).collect();
+    let sessions: Vec<&Session> = scorable.iter().map(|ex| &ex.session).collect();
     let mut ranks = Vec::with_capacity(scorable.len());
-    for chunk in scorable.chunks(EVAL_BATCH) {
-        let _score_span =
-            embsr_obs::span("embsr_eval", "score_batch").with_close_level(embsr_obs::Level::Trace);
-        let sessions: Vec<&Session> = chunk.iter().map(|ex| &ex.session).collect();
-        let scores = rec.scores_batch(&sessions);
-        debug_assert_eq!(scores.len(), chunk.len());
-        for (ex, row) in chunk.iter().zip(&scores) {
-            debug_assert_eq!(row.len(), rec.num_items());
-            ranks.push(rank_of_target(row, ex.target as usize));
-        }
-    }
+    rec.visit_scores(&sessions, EVAL_BATCH, &mut |i, row| {
+        debug_assert_eq!(i, ranks.len(), "rows arrive in input order");
+        debug_assert_eq!(row.len(), rec.num_items());
+        ranks.push(rank_of_target(row, scorable[i].target as usize));
+    });
+    debug_assert_eq!(ranks.len(), scorable.len());
     let n = ranks.len().max(1) as f64;
     let hit: Vec<f64> = ks
         .iter()

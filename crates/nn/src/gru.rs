@@ -126,14 +126,16 @@ impl Gru {
     /// Under the tape this is literally `last_state` per sequence plus a
     /// `stack_rows`. Under inference mode the sequences advance in lockstep
     /// instead: one `[Σtᵢ, input]` GEMM per gate for all input projections,
-    /// then per time step one `[n, hidden]`-shaped recurrent GEMM per gate
-    /// and one masked fused gate pass, with exhausted sequences carrying
-    /// their state through unchanged. A GEMM output row is the same
+    /// then per time step one recurrent GEMM per gate and one fused gate
+    /// pass over the sequences still running. The rows are ordered longest
+    /// first, so the running sequences are always a prefix of the state: a
+    /// step touches only those rows, and a sequence that ends leaves its
+    /// final state behind untouched. A GEMM output row is the same
     /// k-sequential reduction whatever the row count of the product, and the
-    /// masked fused step computes the exact single-row chain per active row,
-    /// so the batched path is bitwise-identical to the sequential one — it
-    /// just replaces `3·Σtᵢ` one-row GEMM dispatches with `3·(1 + max tᵢ)`
-    /// batch-shaped ones, which is where the serving time went.
+    /// fused step computes the exact single-row chain per row, so the
+    /// lockstep is bitwise-identical to the sequential path — it just
+    /// replaces `3·Σtᵢ` one-row GEMM dispatches with `3·(1 + max tᵢ)`
+    /// batch-shaped ones.
     pub fn last_states(&self, seqs: &[&Tensor]) -> Tensor {
         assert!(!seqs.is_empty(), "GRU over an empty batch");
         if !embsr_tensor::is_inference() || seqs.len() == 1 {
@@ -143,41 +145,52 @@ impl Gru {
         let n = seqs.len();
         let lens: Vec<usize> = seqs.iter().map(|xs| xs.rows()).collect();
         assert!(lens.iter().all(|&k| k > 0), "GRU over empty sequence");
-        let kmax = lens.iter().copied().fold(0, usize::max);
         let mut offsets = Vec::with_capacity(n);
         let mut total = 0usize;
         for &k in &lens {
             offsets.push(total);
             total += k;
         }
+        // Longest first (stable), so the sequences still running at step j
+        // are the first `running` rows.
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(lens[i]));
         let flat = Tensor::concat_rows(&seqs.iter().map(|&x| x.clone()).collect::<Vec<_>>());
         let gx_r = flat.matmul(&self.w_r); // [Σt, hidden]
         let gx_z = flat.matmul(&self.w_z);
         let gx_n = flat.matmul(&self.w_n);
         let mut h = Tensor::zeros(&[n, self.hidden]);
-        for j in 0..kmax {
-            // Exhausted rows gather their last element again; the masked
-            // step ignores everything but their previous state.
-            let idx: Vec<usize> = (0..n).map(|i| offsets[i] + j.min(lens[i] - 1)).collect();
-            let active: Vec<bool> = lens.iter().map(|&k| j < k).collect();
-            let hu_r = h.matmul(&self.u_r);
-            let hu_z = h.matmul(&self.u_z);
-            let hu_n = h.matmul(&self.u_n);
-            h = embsr_tensor::gru_step_fused_masked(
+        // Final states of the sequences that have ended, shortest first.
+        let mut ended: Vec<Tensor> = Vec::new();
+        for j in 0..lens[order[0]] {
+            let running = order.iter().take_while(|&&i| lens[i] > j).count();
+            if running < h.rows() {
+                ended.push(h.slice_rows(running, h.rows()));
+                h = h.slice_rows(0, running);
+            }
+            let idx: Vec<usize> = order[..running].iter().map(|&i| offsets[i] + j).collect();
+            h = embsr_tensor::gru_step_fused(
                 &gx_r.gather_rows(&idx),
                 &gx_z.gather_rows(&idx),
                 &gx_n.gather_rows(&idx),
-                &hu_r,
-                &hu_z,
-                &hu_n,
+                &h.matmul(&self.u_r),
+                &h.matmul(&self.u_z),
+                &h.matmul(&self.u_n),
                 &self.b_r,
                 &self.b_z,
                 &self.b_n,
                 &h,
-                &active,
             );
         }
-        h
+        ended.push(h);
+        ended.reverse();
+        // Row r of `sorted` is the final state of sequence `order[r]`.
+        let sorted = Tensor::concat_rows(&ended);
+        let mut rank = vec![0usize; n];
+        for (r, &i) in order.iter().enumerate() {
+            rank[i] = r;
+        }
+        sorted.gather_rows(&rank)
     }
 }
 
@@ -299,6 +312,43 @@ mod tests {
                 .map(|v| v.to_bits())
                 .collect();
             assert_eq!(taped, fused, "diverged at (t={t}, input={input}, hidden={hidden})");
+        }
+    }
+
+    #[test]
+    fn lockstep_rows_equal_sequential_rows_bitwise_at_every_tier() {
+        use embsr_tensor::kernels::{with_tier, KernelTier};
+        let mut rng = Rng::seed_from_u64(12);
+        let g = Gru::new(5, 7, &mut rng);
+        for p in g.parameters() {
+            let v: Vec<f32> = (0..p.len()).map(|_| rng.uniform_range(-0.8, 0.8)).collect();
+            p.set_data(&v);
+        }
+        // Ragged lengths in no particular order, with ties and length 1.
+        let seqs: Vec<Tensor> = [3usize, 1, 6, 3, 2, 6, 1, 4]
+            .iter()
+            .map(|&t| {
+                let v: Vec<f32> = (0..t * 5).map(|_| rng.uniform_range(-1.5, 1.5)).collect();
+                Tensor::from_vec(v, &[t, 5])
+            })
+            .collect();
+        let bits = |t: &Tensor| t.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for tier in [KernelTier::Packed, KernelTier::Simd] {
+            with_tier(tier, || {
+                for n in 1..=seqs.len() {
+                    let refs: Vec<&Tensor> = seqs[..n].iter().collect();
+                    let batched = embsr_tensor::inference_mode(|| g.last_states(&refs));
+                    assert_eq!(batched.shape().dims(), &[n, 7]);
+                    for (i, xs) in refs.iter().enumerate() {
+                        let single = g.last_state(xs);
+                        assert_eq!(
+                            bits(&batched.row(i)),
+                            bits(&single),
+                            "{tier:?} batch {n} row {i}"
+                        );
+                    }
+                }
+            });
         }
     }
 

@@ -87,12 +87,14 @@ impl Gauge {
 
 const SUB_BITS: u32 = 4;
 const SUBS: usize = 1 << SUB_BITS; // 16 sub-buckets per power-of-two octave
-const BUCKETS: usize = 64 * SUBS; // indices 0..=1023
+/// Values below `SUBS` index themselves; each octave `SUB_BITS..=63` then
+/// takes the next `SUBS` indices, so indices 0..=975 are all reachable.
+const BUCKETS: usize = (64 - SUB_BITS as usize + 1) * SUBS;
 
 /// Log-bucketed histogram over `u64` samples (durations in µs, sizes in
 /// bytes, …). Each power-of-two octave is split into 16 sub-buckets, so
 /// quantile answers are exact to within 1/32 (~3.1%) relative error while
-/// the whole histogram is 1,024 fixed atomics — no allocation, no locking.
+/// the whole histogram is 976 fixed atomics — no allocation, no locking.
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
@@ -119,7 +121,7 @@ fn bucket_index(v: u64) -> usize {
     }
     let octave = 63 - v.leading_zeros();
     let sub = ((v >> (octave - SUB_BITS)) & (SUBS as u64 - 1)) as usize;
-    octave as usize * SUBS + sub
+    (octave - SUB_BITS + 1) as usize * SUBS + sub
 }
 
 /// A bucket's value range as `(lowest, highest)`, both inclusive.
@@ -127,7 +129,7 @@ fn bucket_range(idx: usize) -> (u64, u64) {
     if idx < SUBS {
         return (idx as u64, idx as u64);
     }
-    let octave = (idx / SUBS) as u32;
+    let octave = (idx / SUBS) as u32 + SUB_BITS - 1;
     let sub = (idx % SUBS) as u64;
     let width = 1u64 << (octave - SUB_BITS);
     let lower = (1u64 << octave) + sub * width;
@@ -482,10 +484,10 @@ mod tests {
 
     #[test]
     fn bucket_ranges_tile_the_u64_line() {
-        // Values below SUBS index themselves; octaves from SUB_BITS up hold
-        // the rest, so indices SUBS..SUB_BITS·SUBS are never used.
+        // Every index holds values: the buckets, in index order, cover
+        // 0..=u64::MAX with no gap and no overlap.
         let mut next = 0u64;
-        for idx in (0..SUBS).chain(SUB_BITS as usize * SUBS..BUCKETS) {
+        for idx in 0..BUCKETS {
             let (lo, hi) = bucket_range(idx);
             assert_eq!(lo, next, "bucket {idx} starts where the previous one ended");
             assert!(lo <= hi);
@@ -493,6 +495,12 @@ mod tests {
             next = hi.wrapping_add(1);
         }
         assert_eq!(next, 0, "the last bucket ends at u64::MAX");
+        assert_eq!(
+            bucket_index(SUBS as u64),
+            SUBS,
+            "the first octave follows the exact values"
+        );
+        assert_eq!(bucket_index(u64::MAX), BUCKETS - 1);
     }
 
     #[test]

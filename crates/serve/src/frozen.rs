@@ -1,12 +1,14 @@
 //! Frozen model snapshots for inference.
 
 use std::cell::OnceCell;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 
-use embsr_sessions::Session;
+use embsr_sessions::{MicroBehavior, Session};
 use embsr_tensor::kernels::{self, KernelTier};
-use embsr_tensor::{export_params, import_params, inference_mode, Rng, Tensor};
+use embsr_tensor::{export_params, import_params, inference_mode, Tensor};
 use embsr_train::{truncate_session, PreparedHead, SessionModel};
 
 use crate::api::{top_k_of_row, ScoredItem};
@@ -35,9 +37,11 @@ use crate::snapshot::{self, Precision};
 /// [`FrozenModel::from_snapshot`] (tensors are `Rc`-backed and cannot cross
 /// threads themselves).
 ///
-/// Every scoring call takes one path: encode each session with
-/// [`SessionModel::repr`] (or replay its cached repr), stack, and score the
-/// stack with the model's [`SessionModel::head`], prepared once. The
+/// Every scoring call takes one path: encode the batch's distinct sessions
+/// that miss the repr cache in one [`SessionModel::repr_batch`] call, replay
+/// the cached reprs of the rest, stack, and score the stack with the model's
+/// [`SessionModel::head`], prepared once. A session repeated within a batch
+/// is encoded once; every row is still the session's own `repr` bits. The
 /// prepared head — the item table normalized and packed for this replica's
 /// tier, `|V|·d·4` bytes — is built by the replica's first scoring call and
 /// dropped by every weight import ([`FrozenModel::swap_snapshot`]) and tier
@@ -246,9 +250,10 @@ impl<M: SessionModel> FrozenModel<M> {
     /// batched: one `num_items`-length row per session, in input order.
     ///
     /// Row `i` is bitwise-equal to `self.score(&sessions[i])` **at the same
-    /// tier** — the batch shares the item-table pass but computes each row
-    /// with the same per-row reduction order as a batch of one. Empty
-    /// sessions get an empty row, like [`FrozenModel::score`].
+    /// tier** — the batch shares the encoder's passes and the item-table
+    /// pass but computes each row with the same per-row reduction order as
+    /// a batch of one. Empty sessions get an empty row, like
+    /// [`FrozenModel::score`].
     pub fn score_batch(&self, sessions: &[Session]) -> Vec<Vec<f32>> {
         let _span = embsr_obs::span("embsr_serve", "score_batch")
             .with_close_level(embsr_obs::Level::Trace);
@@ -256,10 +261,10 @@ impl<M: SessionModel> FrozenModel<M> {
     }
 
     /// [`FrozenModel::score_batch`] through the session-repr cache: each
-    /// non-empty session's representation is either a cache hit (the
-    /// encoder is skipped entirely) or computed via [`SessionModel::repr`]
-    /// and inserted; the batch then runs the same prepared head as the
-    /// uncached path.
+    /// distinct non-empty session's representation is either a cache hit
+    /// (the encoder is skipped entirely) or encoded with the batch's other
+    /// misses in one [`SessionModel::repr_batch`] call and inserted; the
+    /// batch then runs the same prepared head as the uncached path.
     ///
     /// **Bitwise contract:** every row equals the `score_batch` row at the
     /// same tier. Hits replay the exact `f32` values the encoder produced
@@ -323,29 +328,83 @@ impl<M: SessionModel> FrozenModel<M> {
             .collect()
     }
 
-    /// Logits `[B, |V|]` for non-empty, truncated sessions: each session is
-    /// encoded (or its cached repr replayed), the reprs are stacked, and the
-    /// prepared head scores the stack.
+    /// Logits `[B, |V|]` for non-empty, truncated sessions. Each distinct
+    /// session either replays its cached repr or joins the batch's misses,
+    /// which one [`SessionModel::repr_batch`] call encodes (and the cache
+    /// stores); a repeat of an earlier session reuses that session's row.
+    /// The prepared head scores the stacked rows.
     fn logits(&self, sessions: &[Session], cache: Option<(&ReprCache, u64)>) -> Tensor {
-        let mut rng = Rng::seed_from_u64(0); // never drawn from: dropout is off
-        let reprs: Vec<Tensor> = sessions
-            .iter()
-            .map(|s| match cache {
-                Some((cache, version)) => match cache.lookup(version, &s.events) {
-                    Some(v) => {
-                        let d = v.len();
-                        Tensor::from_vec(v, &[d])
-                    }
-                    None => {
-                        let r = self.model.repr(s, false, &mut rng);
-                        cache.insert(version, &s.events, r.to_vec());
-                        r
-                    }
-                },
-                None => self.model.repr(s, false, &mut rng),
-            })
-            .collect();
-        self.prepared_head().logits(&Tensor::stack_rows(&reprs))
+        /// Where a session's repr row comes from.
+        #[derive(Clone, Copy)]
+        enum Row {
+            Encoded(usize),
+            Cached(usize),
+        }
+        let mut first: HashMap<&[MicroBehavior], Row> = HashMap::with_capacity(sessions.len());
+        let mut misses: Vec<&Session> = Vec::new();
+        let mut hits: Vec<Vec<f32>> = Vec::new();
+        let mut repeats: Vec<usize> = Vec::new();
+        let mut rows: Vec<Row> = Vec::with_capacity(sessions.len());
+        for (i, s) in sessions.iter().enumerate() {
+            let row = match first.entry(&s.events) {
+                Entry::Occupied(seen) => {
+                    repeats.push(i);
+                    *seen.get()
+                }
+                Entry::Vacant(slot) => *slot.insert(
+                    match cache.and_then(|(cache, version)| cache.lookup(version, &s.events)) {
+                        Some(repr) => {
+                            hits.push(repr);
+                            Row::Cached(hits.len() - 1)
+                        }
+                        None => {
+                            misses.push(s);
+                            Row::Encoded(misses.len() - 1)
+                        }
+                    },
+                ),
+            };
+            rows.push(row);
+        }
+        let encoded = (!misses.is_empty()).then(|| self.model.repr_batch(&misses));
+        if let Some((cache, version)) = cache {
+            if let Some(enc) = &encoded {
+                let d = enc.cols();
+                for (s, repr) in misses.iter().zip(enc.data().chunks(d)) {
+                    cache.insert(version, &s.events, repr.to_vec());
+                }
+            }
+            // A repeat replays its first occurrence's repr through the cache,
+            // as a repeat in a later batch would, so hit counts keep counting
+            // every session the cache serves.
+            for &i in &repeats {
+                if let Some(repr) = cache.lookup(version, &sessions[i].events) {
+                    hits.push(repr);
+                    rows[i] = Row::Cached(hits.len() - 1);
+                }
+            }
+        }
+        let reprs = match encoded {
+            // Every session is its own miss: the encoder's rows, as they are.
+            Some(enc) if misses.len() == sessions.len() => enc,
+            encoded => {
+                let mut parts: Vec<Tensor> = encoded.into_iter().collect();
+                let d = hits.first().map_or(0, Vec::len);
+                if !hits.is_empty() {
+                    let n = hits.len();
+                    parts.push(Tensor::from_vec(hits.concat(), &[n, d]));
+                }
+                let idx: Vec<usize> = rows
+                    .iter()
+                    .map(|&row| match row {
+                        Row::Encoded(j) => j,
+                        Row::Cached(h) => misses.len() + h,
+                    })
+                    .collect();
+                Tensor::concat_rows(&parts).gather_rows(&idx)
+            }
+        };
+        self.prepared_head().logits(&reprs)
     }
 
     /// The model's head prepared for this replica's tier, built on first use.

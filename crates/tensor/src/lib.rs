@@ -61,7 +61,7 @@ pub use inference::{inference_mode, is_inference};
 pub use init::{kaiming_uniform, uniform_init, xavier_uniform, zeros_init};
 pub use ops::{
     fused_softmax_rows, gated_blend, gated_update_combine, gated_update_gates, gru_step_fused,
-    gru_step_fused_masked, l2_normalize_row, softmax_slice, star_blend,
+    l2_normalize_row, softmax_slice, star_blend,
 };
 pub use pool::{clear_pool, pool_stats, reset_pool_stats, PoolStats};
 pub use optim::{clip_grad_norm, Adam, AdamConfig, AdamParamState, Optimizer, Sgd};

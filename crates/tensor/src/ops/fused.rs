@@ -23,9 +23,9 @@
 //!   stays a scalar libm call: softmax is a per-row monotone transform, so
 //!   metric identity (Hit@20/MRR@20) is preserved by construction, and the
 //!   win here is the removed passes and copies, not the transcendental.
-//! * [`gru_step_fused`] (and its lockstep-batched sibling
-//!   [`gru_step_fused_masked`]) collapses the ten elementwise ops of a GRU
-//!   gate chain into one pass. Like `normalize_scale_rows` it is **bitwise**
+//! * [`gru_step_fused`] collapses the ten elementwise ops of a GRU gate
+//!   chain into one pass, over one row or a lockstep batch of rows. Like
+//!   `normalize_scale_rows` it is **bitwise**
 //!   faithful (every intermediate rounding of the op-by-op chain is
 //!   replicated in order), but it has no backward, so it is dispatched on
 //!   `inference_mode` alone — safe even for the trainer's evaluation loop,
@@ -203,7 +203,9 @@ fn sigmoid_scalar(x: f32) -> f32 {
 ///
 /// `gx_*` are the input projections `x·W_*`, `hu_*` the recurrent
 /// projections `h·U_*` (all `[rows, hidden]`), `b_*` the biases
-/// (`[hidden]`, row-broadcast), `h` the previous state.
+/// (`[hidden]`, row-broadcast), `h` the previous state. Each output element
+/// reads only its own row, so a batch of rows advancing in lockstep gets
+/// exactly the single-row chain per row.
 ///
 /// Bitwise-identical to the op-by-op chain in `Gru::step_projected`: each
 /// line rounds at exactly the points the separate `add`/`mul`/`sigmoid`/
@@ -228,47 +230,6 @@ pub fn gru_step_fused(
     b_n: &Tensor,
     h: &Tensor,
 ) -> Tensor {
-    gru_step_impl(gx_r, gx_z, gx_n, hu_r, hu_z, hu_n, b_r, b_z, b_n, h, None)
-}
-
-/// [`gru_step_fused`] over a batch of independent sequences advancing in
-/// lockstep: row `i` of every operand belongs to sequence `i`, and rows with
-/// `active[i] == false` (sequences already past their last element) copy the
-/// previous state through unchanged. Active rows compute exactly the single-
-/// row chain — each output element only ever reads its own row — so batching
-/// changes no bits; it exists so a time step costs one `[n, d]`-shaped GEMM
-/// per gate instead of `n` one-row GEMMs.
-#[allow(clippy::too_many_arguments)] // mirrors the 10-operand GRU gate chain
-pub fn gru_step_fused_masked(
-    gx_r: &Tensor,
-    gx_z: &Tensor,
-    gx_n: &Tensor,
-    hu_r: &Tensor,
-    hu_z: &Tensor,
-    hu_n: &Tensor,
-    b_r: &Tensor,
-    b_z: &Tensor,
-    b_n: &Tensor,
-    h: &Tensor,
-    active: &[bool],
-) -> Tensor {
-    gru_step_impl(gx_r, gx_z, gx_n, hu_r, hu_z, hu_n, b_r, b_z, b_n, h, Some(active))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn gru_step_impl(
-    gx_r: &Tensor,
-    gx_z: &Tensor,
-    gx_n: &Tensor,
-    hu_r: &Tensor,
-    hu_z: &Tensor,
-    hu_n: &Tensor,
-    b_r: &Tensor,
-    b_z: &Tensor,
-    b_n: &Tensor,
-    h: &Tensor,
-    active: Option<&[bool]>,
-) -> Tensor {
     debug_assert!(
         crate::inference::is_inference(),
         "fused GRU step has no backward; it must stay inference-only"
@@ -277,21 +238,12 @@ fn gru_step_impl(
     debug_assert_eq!(gx_r.shape().as_matrix(), (rows, cols));
     debug_assert_eq!(hu_r.shape().as_matrix(), (rows, cols));
     debug_assert_eq!(b_r.len(), cols);
-    if let Some(a) = active {
-        debug_assert_eq!(a.len(), rows);
-    }
     let (gxr, gxz, gxn) = (gx_r.data(), gx_z.data(), gx_n.data());
     let (hur, huz, hun) = (hu_r.data(), hu_z.data(), hu_n.data());
     let (br, bz, bn) = (b_r.data(), b_z.data(), b_n.data());
     let hd = h.data();
     let mut out = pool::take_zeroed(rows * cols);
     for (i, o) in out.iter_mut().enumerate() {
-        if let Some(a) = active {
-            if !a[i / cols] {
-                *o = hd[i];
-                continue;
-            }
-        }
         let j = i % cols;
         let r = sigmoid_scalar((gxr[i] + hur[i]) + br[j]);
         let z = sigmoid_scalar((gxz[i] + huz[i]) + bz[j]);

@@ -53,6 +53,57 @@ impl Tensor {
         )
     }
 
+    /// Sums rows into segments: `[n, d] × owners[n] -> [segments, d]`, where
+    /// output row `s` is the sum of the input rows `r` with `owners[r] == s`
+    /// (zeros for a segment that owns none). This is the per-node message
+    /// aggregation of a graph layer, with `owners` naming each edge's node.
+    ///
+    /// Each output row starts at `+0.0` and adds its rows in input order —
+    /// the exact chain the one-hot product `A·X` (`A[s][r] = 1` iff `owners[r]
+    /// == s`) accumulates, since its zero terms add nothing. Backward gives
+    /// input row `r` the gradient `0.0 + dY[owners[r]]`, which is what that
+    /// product's `Aᵀ·dY` computes. Both directions are therefore bitwise
+    /// equal to the dense product, without building or multiplying `A`.
+    ///
+    /// # Panics
+    /// Panics when `owners.len()` differs from the row count or an owner is
+    /// out of range.
+    pub fn segment_sum(&self, owners: &[usize], segments: usize) -> Tensor {
+        let (rows, cols) = self.shape().as_matrix();
+        assert_eq!(self.shape().rank(), 2, "segment_sum needs rank 2");
+        assert_eq!(owners.len(), rows, "one owner per row");
+        let d = self.data();
+        let mut out = pool::take_zeroed(segments * cols);
+        for (r, &s) in owners.iter().enumerate() {
+            assert!(s < segments, "owner {s} out of range ({segments} segments)");
+            let dst = &mut out[s * cols..(s + 1) * cols];
+            for (o, &x) in dst.iter_mut().zip(&d[r * cols..(r + 1) * cols]) {
+                *o += x;
+            }
+        }
+        drop(d);
+        let parent = self.clone();
+        let owners: Vec<usize> = owners.to_vec();
+        Tensor::from_op(
+            out,
+            Shape::new(&[segments, cols]),
+            vec![self.clone()],
+            "segment_sum",
+            Box::new(move |grad| {
+                if parent.is_grad() {
+                    let mut g = pool::take_zeroed(rows * cols);
+                    for (r, &s) in owners.iter().enumerate() {
+                        let src = &grad[s * cols..(s + 1) * cols];
+                        for (dv, &sv) in g[r * cols..(r + 1) * cols].iter_mut().zip(src) {
+                            *dv += sv;
+                        }
+                    }
+                    parent.accumulate_grad_owned(g);
+                }
+            }),
+        )
+    }
+
     /// A single row of a rank-2 tensor as a `[d]` vector.
     pub fn row(&self, index: usize) -> Tensor {
         let cols = self.cols();
@@ -246,6 +297,64 @@ mod tests {
         let m = Tensor::stack_rows(&[a, b]);
         assert_eq!(m.shape().dims(), &[2, 2]);
         assert_eq!(m.at(1, 0), 3.0);
+    }
+
+    #[test]
+    fn segment_sum_equals_the_one_hot_product_bitwise_at_every_tier() {
+        use crate::kernels::{with_tier, KernelTier};
+        let mut rng = crate::Rng::seed_from_u64(3);
+        // Owners repeat, skip segment 2, and arrive out of order; the data
+        // holds signed zeros so the `+0.0` start is exercised.
+        let owners = [1usize, 0, 3, 1, 1, 4, 0];
+        let (n, segments, cols) = (owners.len(), 5, 6);
+        let mut data: Vec<f32> = (0..n * cols)
+            .map(|_| rng.uniform_range(-2.0, 2.0))
+            .collect();
+        data[3] = -0.0;
+        data[cols + 2] = 0.0;
+        let mut onehot = vec![0.0f32; segments * n];
+        for (r, &s) in owners.iter().enumerate() {
+            onehot[s * n + r] = 1.0;
+        }
+        let mut upstream: Vec<f32> = (0..segments * cols)
+            .map(|_| rng.uniform_range(-1.0, 1.0))
+            .collect();
+        upstream[4] = -0.0;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for tier in [KernelTier::Packed, KernelTier::Simd] {
+            with_tier(tier, || {
+                let x1 = Tensor::from_vec(data.clone(), &[n, cols]).requires_grad();
+                let x2 = Tensor::from_vec(data.clone(), &[n, cols]).requires_grad();
+                let summed = x1.segment_sum(&owners, segments);
+                let dense = Tensor::from_vec(onehot.clone(), &[segments, n]).matmul(&x2);
+                assert_eq!(summed.shape().dims(), &[segments, cols]);
+                assert_eq!(
+                    bits(&summed.to_vec()),
+                    bits(&dense.to_vec()),
+                    "{tier:?} forward"
+                );
+                let w = Tensor::from_vec(upstream.clone(), &[segments, cols]);
+                summed.mul(&w).sum().backward();
+                dense.mul(&w).sum().backward();
+                assert_eq!(
+                    bits(&x1.grad().unwrap()),
+                    bits(&x2.grad().unwrap()),
+                    "{tier:?} backward"
+                );
+            });
+        }
+    }
+
+    #[test]
+    fn segment_sum_of_no_rows_is_zero() {
+        let x = Tensor::zeros(&[0, 3]);
+        assert_eq!(x.segment_sum(&[], 2).to_vec(), vec![0.0; 6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn segment_sum_owner_bounds_checked() {
+        let _ = Tensor::zeros(&[1, 2]).segment_sum(&[2], 2);
     }
 
     #[test]

@@ -1036,6 +1036,16 @@ pub fn gradcheck_specs() -> Vec<GradSpec> {
             },
         },
         GradSpec {
+            name: "index::segment_sum",
+            file: "index",
+            dims: &[5, 3],
+            lo: -2.0,
+            hi: 2.0,
+            eps: 1e-2,
+            tol: 1e-2,
+            build: |x| x.segment_sum(&[2, 0, 2, 3, 0], 4).mul(&w(&[4, 3])).sum(),
+        },
+        GradSpec {
             name: "index::concat_rows",
             file: "index",
             dims: &[2, 3],

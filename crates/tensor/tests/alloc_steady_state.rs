@@ -29,12 +29,15 @@ fn steady_state_training_performs_zero_fresh_kernel_allocations() {
 
     let idx: Vec<usize> = (0..batch).map(|i| (i * 5) % vocab).collect();
     let targets: Vec<usize> = (0..batch).map(|i| (i * 7) % vocab).collect();
+    // Message-passing owners: repeated, skipped and out-of-order segments.
+    let owners = [1usize, 0, 3, 3, 5, 0, 7, 6];
 
-    // A representative op mix: embedding gather, GEMMs, normalization,
-    // batched attention-style products, loss, clipping, Adam.
+    // A representative op mix: embedding gather, per-node segment sums,
+    // GEMMs, normalization, batched attention-style products, loss,
+    // clipping, Adam.
     let run_iteration = |opt: &mut Adam| {
         opt.zero_grad();
-        let x = emb.gather_rows(&idx); // [8, d]
+        let x = emb.gather_rows(&idx).segment_sum(&owners, batch); // [8, d]
         let h = x.matmul(&w1).layer_norm_rows(1e-5).sigmoid(); // [8, d]
         let q = h.reshape(&[2, 4, d]);
         let scores = q.bmm_nt(&q).reshape(&[batch, 4]); // [8, 4]

@@ -40,6 +40,28 @@ pub trait Recommender {
         sessions.iter().map(|&s| self.scores(s)).collect()
     }
 
+    /// One scoring pass over many sessions: scores them in chunks of at
+    /// most `chunk` and calls `visit(i, row)` with row `i` (scoring
+    /// `sessions[i]`), in input order, so a whole test set is scored without
+    /// holding every row at once. Rows equal [`Recommender::scores_batch`]'s.
+    ///
+    /// The default scores each chunk with `scores_batch`.
+    /// `NeuralRecommender` prepares its head once for the pass instead of
+    /// once per chunk; nothing outlives the call, so a later pass always
+    /// sees the weights as they are then.
+    fn visit_scores(
+        &self,
+        sessions: &[&Session],
+        chunk: usize,
+        visit: &mut dyn FnMut(usize, &[f32]),
+    ) {
+        for (c, part) in sessions.chunks(chunk.max(1)).enumerate() {
+            for (j, row) in self.scores_batch(part).iter().enumerate() {
+                visit(c * chunk.max(1) + j, row);
+            }
+        }
+    }
+
     /// The training report of the most recent [`Recommender::fit`], when the
     /// model trains with the shared [`crate::Trainer`]. Non-neural methods
     /// keep the default `None`.
@@ -53,8 +75,10 @@ pub trait Recommender {
 /// Every model is an encoder plus a head: [`SessionModel::repr`] encodes a
 /// session into a `[d]` representation and [`SessionModel::head`] scores it
 /// against the item table. Those two are the only scoring methods a model
-/// states; every logits path below is built from them, so a model's
+/// must state; every logits path below is built from them, so a model's
 /// batched, cached and served rows are its training rows by construction.
+/// A model whose encoder can share its passes across sessions also states
+/// [`SessionModel::repr_batch`], held bitwise to its `repr` rows.
 pub trait SessionModel {
     /// Model name.
     fn name(&self) -> &str;
@@ -95,23 +119,36 @@ pub trait SessionModel {
         self.logits(session, false, &mut rng)
     }
 
-    /// Inference-time logits for a batch of sessions, shape `[B, |V|]` with
-    /// row `i` scoring `sessions[i]`.
+    /// Inference-time representations `[B, d]` of a batch of sessions, row
+    /// `i` encoding `sessions[i]`: [`SessionModel::repr`] with dropout off,
+    /// bitwise, row by row.
     ///
-    /// Each session is encoded by [`SessionModel::repr`], the reprs are
-    /// stacked, and one GEMM scores the stack against the head prepared for
-    /// the calling thread's kernel tier. Every row is bitwise-equal to the
-    /// per-session path (GEMM rows are independent sequential dot products).
-    fn logits_batch(&self, sessions: &[&Session]) -> Tensor {
-        assert!(!sessions.is_empty(), "logits_batch of an empty batch");
+    /// The default encodes each session alone and stacks the rows. A model
+    /// whose encoder shares its passes across the batch overrides it; every
+    /// row must still equal the session's own `repr` bits (GEMM rows are
+    /// independent sequential dot products, so stacking rows into one
+    /// product keeps them).
+    fn repr_batch(&self, sessions: &[&Session]) -> Tensor {
+        assert!(!sessions.is_empty(), "repr_batch of an empty batch");
         let mut rng = Rng::seed_from_u64(0); // never drawn from: dropout is off
         let reprs: Vec<Tensor> = sessions
             .iter()
             .map(|s| self.repr(s, false, &mut rng))
             .collect();
+        Tensor::stack_rows(&reprs)
+    }
+
+    /// Inference-time logits for a batch of sessions, shape `[B, |V|]` with
+    /// row `i` scoring `sessions[i]`.
+    ///
+    /// The batch is encoded by [`SessionModel::repr_batch`] and one GEMM
+    /// scores it against the head prepared for the calling thread's kernel
+    /// tier. Every row is bitwise-equal to the per-session path.
+    fn logits_batch(&self, sessions: &[&Session]) -> Tensor {
+        assert!(!sessions.is_empty(), "logits_batch of an empty batch");
         self.head()
             .prepare(kernels::active_tier())
-            .logits(&Tensor::stack_rows(&reprs))
+            .logits(&self.repr_batch(sessions))
     }
 
     /// Inference-time session representation `[d]`:
@@ -174,23 +211,44 @@ impl<M: SessionModel> Recommender for NeuralRecommender<M> {
     }
 
     fn scores_batch(&self, sessions: &[&Session]) -> Vec<Vec<f32>> {
+        let mut rows = Vec::with_capacity(sessions.len());
+        self.visit_scores(sessions, sessions.len(), &mut |_, row| {
+            rows.push(row.to_vec())
+        });
+        rows
+    }
+
+    fn visit_scores(
+        &self,
+        sessions: &[&Session],
+        chunk: usize,
+        visit: &mut dyn FnMut(usize, &[f32]),
+    ) {
         if sessions.is_empty() {
-            return Vec::new();
+            return;
         }
-        let truncated: Vec<Session> = sessions
-            .iter()
-            .map(|&s| crate::trainer::truncate_session(s, self.config.max_session_len))
-            .collect();
-        let refs: Vec<&Session> = truncated.iter().collect();
+        let v = self.model.num_items();
         // Tape-free: the whole batched forward runs without recording the
         // autograd graph, so intermediate activations recycle through the
-        // buffer pool instead of accumulating until the logits drop.
-        let logits = embsr_tensor::inference_mode(|| self.model.logits_batch(&refs));
-        let v = self.model.num_items();
-        assert_eq!(logits.rows(), sessions.len(), "one logit row per session");
-        assert_eq!(logits.cols(), v, "full-vocabulary rows");
-        let flat = logits.to_vec();
-        flat.chunks(v).map(|row| row.to_vec()).collect()
+        // buffer pool instead of accumulating until the logits drop. The
+        // head is normalized and packed once for the pass; it is the
+        // product `logits_batch` prepares per call.
+        embsr_tensor::inference_mode(|| {
+            let head = self.model.head().prepare(kernels::active_tier());
+            for (c, part) in sessions.chunks(chunk.max(1)).enumerate() {
+                let truncated: Vec<Session> = part
+                    .iter()
+                    .map(|&s| crate::trainer::truncate_session(s, self.config.max_session_len))
+                    .collect();
+                let refs: Vec<&Session> = truncated.iter().collect();
+                let logits = head.logits(&self.model.repr_batch(&refs));
+                assert_eq!(logits.rows(), part.len(), "one logit row per session");
+                assert_eq!(logits.cols(), v, "full-vocabulary rows");
+                for (j, row) in logits.data().chunks(v).enumerate() {
+                    visit(c * chunk.max(1) + j, row);
+                }
+            }
+        });
     }
 
     fn train_report(&self) -> Option<&crate::TrainReport> {
@@ -258,6 +316,70 @@ mod tests {
             assert_eq!(row, &rec.scores(s));
         }
         assert!(rec.scores_batch(&[]).is_empty());
+    }
+
+    /// A model whose scores are its item table: a constant representation
+    /// dotted with learnable item rows.
+    struct Table {
+        items: Tensor,
+    }
+
+    impl SessionModel for Table {
+        fn name(&self) -> &str {
+            "Table"
+        }
+        fn num_items(&self) -> usize {
+            self.items.rows()
+        }
+        fn parameters(&self) -> Vec<Tensor> {
+            vec![self.items.clone()]
+        }
+        fn repr(&self, s: &Session, _t: bool, _r: &mut Rng) -> Tensor {
+            let last = s.events.last().map_or(0.0, |e| e.item as f32);
+            Tensor::from_vec(vec![1.0, last], &[2])
+        }
+        fn head(&self) -> Head {
+            Head {
+                scorer: crate::Scorer::Dot,
+                items: self.items.clone(),
+            }
+        }
+    }
+
+    #[test]
+    fn each_scoring_pass_sees_the_weights_as_they_are_then() {
+        let rec = NeuralRecommender::new(
+            Table {
+                items: Tensor::from_vec((0..8).map(|i| i as f32).collect(), &[4, 2]),
+            },
+            crate::TrainConfig::fast(),
+        );
+        let sessions: Vec<Session> = (0..5)
+            .map(|i| Session {
+                id: i,
+                events: vec![MicroBehavior::new(i as u32 % 4, 0)],
+            })
+            .collect();
+        let refs: Vec<&Session> = sessions.iter().collect();
+        let pass = |rec: &NeuralRecommender<Table>| {
+            let mut rows = vec![Vec::new(); refs.len()];
+            rec.visit_scores(&refs, 2, &mut |i, row| rows[i] = row.to_vec());
+            rows
+        };
+        let first = pass(&rec);
+        for (s, row) in sessions.iter().zip(&first) {
+            assert_eq!(row, &rec.scores(s));
+        }
+        // new weights between passes: the second pass is scored with them
+        rec.model
+            .items
+            .set_data(&[3.0, -1.0, 0.5, 2.0, -2.0, 1.0, 4.0, 0.25]);
+        let second = pass(&rec);
+        for (i, (s, row)) in sessions.iter().zip(&second).enumerate() {
+            assert_eq!(row, &rec.scores(s), "session {i}");
+            assert_ne!(row, &first[i], "session {i} kept the old weights");
+        }
+        assert_eq!(rec.scores_batch(&refs), second);
     }
 
     #[test]

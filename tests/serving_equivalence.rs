@@ -610,6 +610,193 @@ fn mkmsr_meets_every_serving_contract() {
 }
 
 // ---------------------------------------------------------------------------
+// The batched EMBSR encoder: `repr_batch` rows, and every frozen row built
+// from them, are the per-session `repr` rows bit for bit
+// ---------------------------------------------------------------------------
+
+/// The EMBSR configurations the batched encoder must reproduce row for row:
+/// every variant the ablation switchboard builds, two stacked GNN layers,
+/// and an odd width that straddles every kernel tile.
+fn repr_batch_configs() -> Vec<EmbsrConfig> {
+    let variants: [fn(usize, usize, usize) -> EmbsrConfig; 11] = [
+        EmbsrConfig::full,
+        EmbsrConfig::ablation_ns,
+        EmbsrConfig::ablation_ng,
+        EmbsrConfig::ablation_nf,
+        EmbsrConfig::sgnn_self,
+        EmbsrConfig::sgnn_seq_self,
+        EmbsrConfig::rnn_self,
+        EmbsrConfig::sgnn_abs_self,
+        EmbsrConfig::sgnn_dyadic,
+        EmbsrConfig::full_op_weighted,
+        |v, o, d| EmbsrConfig::fixed_beta(v, o, d, 0.4),
+    ];
+    let mut cfgs: Vec<EmbsrConfig> = variants
+        .iter()
+        .map(|v| v(NUM_ITEMS, NUM_OPS, DIM))
+        .collect();
+    let mut two_layers = EmbsrConfig::full(NUM_ITEMS, NUM_OPS, DIM);
+    two_layers.gnn_layers = 2;
+    two_layers.name = "EMBSR gnn_layers=2".into();
+    cfgs.push(two_layers);
+    let mut narrow = EmbsrConfig::full(NUM_ITEMS, NUM_OPS, 13);
+    narrow.name = "EMBSR d=13".into();
+    cfgs.push(narrow);
+    cfgs
+}
+
+fn bits(row: &[f32]) -> Vec<u32> {
+    row.iter().map(|x| x.to_bits()).collect()
+}
+
+/// For one configuration, seed and tier: every ragged chunk's `repr_batch`
+/// rows equal the per-session `repr` rows, and the frozen `score_batch`,
+/// cached and `top_k` rows equal the head's rows over those per-session
+/// reprs.
+fn assert_repr_batch_rows_are_repr_rows(cfg: &EmbsrConfig, seed: u64, tier: KernelTier) {
+    let mut cfg = cfg.clone();
+    cfg.seed = seed;
+    let model = Embsr::new(cfg.clone());
+    let max_len = TrainConfig::fast().max_session_len;
+    let mut frozen = FrozenModel::freeze(Embsr::new(cfg.clone()), max_len);
+    frozen.set_tier(tier);
+    let sessions: Vec<Session> = test_sessions(seed)
+        .iter()
+        .map(|s| truncate_session(s, max_len))
+        .collect();
+    let on_tier =
+        |f: &dyn Fn() -> embsr_tensor::Tensor| kernels::with_tier(tier, || inference_mode(f));
+    let singles: Vec<embsr_tensor::Tensor> = sessions
+        .iter()
+        .map(|s| on_tier(&|| model.repr_infer(s).expect("EMBSR encodes sessions")))
+        .collect();
+    let v = frozen.num_items();
+    let want = on_tier(&|| {
+        model
+            .logits_of_reprs(&embsr_tensor::Tensor::stack_rows(&singles))
+            .expect("EMBSR scores reprs")
+    })
+    .to_vec();
+    let cache = ReprCache::new(256);
+    for &batch in &RAGGED_BATCHES {
+        for (c, chunk) in sessions.chunks(batch).enumerate() {
+            let refs: Vec<&Session> = chunk.iter().collect();
+            let rows = on_tier(&|| model.repr_batch(&refs));
+            assert_eq!(rows.shape().dims(), &[chunk.len(), cfg.dim]);
+            let rows = rows.to_vec();
+            let served = frozen.score_batch(chunk);
+            let cached = frozen.score_batch_cached(chunk, &cache, 1);
+            let top = frozen.top_k(chunk, 10);
+            for (i, session) in chunk.iter().enumerate() {
+                let k = c * batch + i;
+                let ctx = format!(
+                    "{} {tier:?} seed {seed} batch {batch} session {}",
+                    cfg.name, session.id
+                );
+                let d = cfg.dim;
+                assert_eq!(
+                    bits(&rows[i * d..(i + 1) * d]),
+                    bits(&singles[k].to_vec()),
+                    "{ctx}: repr_batch row != repr"
+                );
+                let want_row = &want[k * v..(k + 1) * v];
+                assert_eq!(bits(&served[i]), bits(want_row), "{ctx}: score_batch row");
+                assert_eq!(bits(&cached[i]), bits(want_row), "{ctx}: cached row");
+                let want_top: Vec<(u32, u32)> = top_k_of_row(want_row, 10)
+                    .iter()
+                    .map(|s| (s.item, s.score.to_bits()))
+                    .collect();
+                let got_top: Vec<(u32, u32)> =
+                    top[i].iter().map(|s| (s.item, s.score.to_bits())).collect();
+                assert_eq!(got_top, want_top, "{ctx}: top_k");
+            }
+        }
+    }
+    assert!(
+        cache.stats().hits > 0,
+        "{}: later chunkings hit the cache",
+        cfg.name
+    );
+}
+
+#[test]
+fn embsr_repr_batch_rows_equal_repr_rows_on_the_packed_tier() {
+    for cfg in repr_batch_configs() {
+        for seed in SEEDS {
+            assert_repr_batch_rows_are_repr_rows(&cfg, seed, KernelTier::Packed);
+        }
+    }
+}
+
+#[test]
+fn embsr_repr_batch_rows_equal_repr_rows_on_the_simd_tier() {
+    for cfg in repr_batch_configs() {
+        for seed in SEEDS {
+            assert_repr_batch_rows_are_repr_rows(&cfg, seed, KernelTier::Simd);
+        }
+    }
+}
+
+#[test]
+fn embsr_repr_batch_encodes_a_repeated_session_once_with_its_own_rows() {
+    let max_len = TrainConfig::fast().max_session_len;
+    for tier in [KernelTier::Packed, KernelTier::Simd] {
+        for seed in SEEDS {
+            let mut frozen = FrozenModel::freeze(embsr(EmbsrConfig::full, seed), max_len);
+            frozen.set_tier(tier);
+            let model = embsr(EmbsrConfig::full, seed);
+            let pool = test_sessions(seed);
+            // s0 three times and s1 twice among distinct s2, s3.
+            let batch: Vec<Session> = [0usize, 1, 0, 2, 1, 0, 3]
+                .iter()
+                .map(|&i| pool[i].clone())
+                .collect();
+            let refs: Vec<&Session> = batch.iter().collect();
+            let rows = kernels::with_tier(tier, || inference_mode(|| model.repr_batch(&refs)));
+            for (i, s) in batch.iter().enumerate() {
+                let single = kernels::with_tier(tier, || inference_mode(|| model.repr_infer(s)))
+                    .expect("EMBSR encodes sessions");
+                assert_eq!(
+                    bits(&rows.row(i).to_vec()),
+                    bits(&single.to_vec()),
+                    "{tier:?} seed {seed} row {i}"
+                );
+            }
+
+            let served = frozen.score_batch(&batch);
+            // s1 is resident before the batch: one hit, three distinct
+            // misses encoded once each, and every repeat replayed from the
+            // cache — with rows identical to the uncached ones.
+            let cache = ReprCache::new(64);
+            let _ = frozen.score_batch_cached(&batch[1..2], &cache, 1);
+            let before = cache.stats();
+            let cached = frozen.score_batch_cached(&batch, &cache, 1);
+            let after = cache.stats();
+            assert_eq!(
+                after.insertions - before.insertions,
+                3,
+                "{tier:?} seed {seed}"
+            );
+            assert_eq!(after.misses - before.misses, 3, "{tier:?} seed {seed}");
+            assert_eq!(after.hits - before.hits, 4, "{tier:?} seed {seed}");
+            for (i, s) in batch.iter().enumerate() {
+                let single = frozen.score(s);
+                assert_eq!(
+                    bits(&served[i]),
+                    bits(&single),
+                    "{tier:?} seed {seed} row {i}"
+                );
+                assert_eq!(
+                    bits(&cached[i]),
+                    bits(&single),
+                    "{tier:?} seed {seed} cached row {i}"
+                );
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Cache versioning, snapshot replication and pooling invariants
 // ---------------------------------------------------------------------------
 
