@@ -254,9 +254,10 @@ impl Embsr {
     /// GEMMs, gathers and elementwise passes, so a row is the same whichever
     /// rows share its pass. The star gate, star attention and the star-query
     /// attention run per session on its own segment of the stacked rows. A
-    /// row therefore never depends on its batch-mates, and a batch of one
-    /// builds the same graph as the single-session taped forward did before
-    /// batching (no slice or concat node), which training differentiates.
+    /// row therefore never depends on its batch-mates. A batch of one adds
+    /// no slice or concat node to the taped graph: `repr` is what training
+    /// differentiates, and the order in which its gradients accumulate is
+    /// part of the golden trajectory.
     fn encode(&self, sessions: &[&Session], training: bool, rng: &mut Rng) -> Tensor {
         assert!(!sessions.is_empty(), "encoding an empty batch");
         let sessions: Vec<Session> = sessions
