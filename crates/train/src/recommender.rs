@@ -55,9 +55,10 @@ pub trait Recommender {
         chunk: usize,
         visit: &mut dyn FnMut(usize, &[f32]),
     ) {
-        for (c, part) in sessions.chunks(chunk.max(1)).enumerate() {
+        let chunk = chunk.max(1);
+        for (c, part) in sessions.chunks(chunk).enumerate() {
             for (j, row) in self.scores_batch(part).iter().enumerate() {
-                visit(c * chunk.max(1) + j, row);
+                visit(c * chunk + j, row);
             }
         }
     }
@@ -228,6 +229,7 @@ impl<M: SessionModel> Recommender for NeuralRecommender<M> {
             return;
         }
         let v = self.model.num_items();
+        let chunk = chunk.max(1);
         // Tape-free: the whole batched forward runs without recording the
         // autograd graph, so intermediate activations recycle through the
         // buffer pool instead of accumulating until the logits drop. The
@@ -235,7 +237,7 @@ impl<M: SessionModel> Recommender for NeuralRecommender<M> {
         // product `logits_batch` prepares per call.
         embsr_tensor::inference_mode(|| {
             let head = self.model.head().prepare(kernels::active_tier());
-            for (c, part) in sessions.chunks(chunk.max(1)).enumerate() {
+            for (c, part) in sessions.chunks(chunk).enumerate() {
                 let truncated: Vec<Session> = part
                     .iter()
                     .map(|&s| crate::trainer::truncate_session(s, self.config.max_session_len))
@@ -245,7 +247,7 @@ impl<M: SessionModel> Recommender for NeuralRecommender<M> {
                 assert_eq!(logits.rows(), part.len(), "one logit row per session");
                 assert_eq!(logits.cols(), v, "full-vocabulary rows");
                 for (j, row) in logits.data().chunks(v).enumerate() {
-                    visit(c * chunk.max(1) + j, row);
+                    visit(c * chunk + j, row);
                 }
             }
         });
