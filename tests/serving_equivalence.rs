@@ -649,10 +649,34 @@ fn bits(row: &[f32]) -> Vec<u32> {
     row.iter().map(|x| x.to_bits()).collect()
 }
 
+/// Sessions whose macro steps carry one to four micro-operations each, so
+/// the op-GRU's sub-sequences are ragged within and across sessions (the
+/// sessions of `test_sessions` never repeat an item back to back, so all
+/// of theirs have length one), and items recur across steps.
+fn micro_sessions(seed: u64) -> Vec<Session> {
+    (0..64u64)
+        .map(|i| {
+            let steps = 1 + (i * 5 + seed) % 7;
+            let mut events = Vec::new();
+            for k in 0..steps {
+                let item = ((i * 11 + k * 7 + seed) % NUM_ITEMS as u64) as u32;
+                for o in 0..1 + (i + k * 3 + seed) % 4 {
+                    events.push(MicroBehavior::new(
+                        item,
+                        ((i + k + o) % NUM_OPS as u64) as u16,
+                    ));
+                }
+            }
+            Session { id: 64 + i, events }
+        })
+        .collect()
+}
+
 /// For one configuration, seed and tier: every ragged chunk's `repr_batch`
 /// rows equal the per-session `repr` rows, and the frozen `score_batch`,
 /// cached and `top_k` rows equal the head's rows over those per-session
-/// reprs.
+/// reprs. On the packed tier the per-session rows must also equal the
+/// taped `repr`, which runs the GRU one sequence at a time.
 fn assert_repr_batch_rows_are_repr_rows(cfg: &EmbsrConfig, seed: u64, tier: KernelTier) {
     let mut cfg = cfg.clone();
     cfg.seed = seed;
@@ -662,6 +686,7 @@ fn assert_repr_batch_rows_are_repr_rows(cfg: &EmbsrConfig, seed: u64, tier: Kern
     frozen.set_tier(tier);
     let sessions: Vec<Session> = test_sessions(seed)
         .iter()
+        .chain(&micro_sessions(seed))
         .map(|s| truncate_session(s, max_len))
         .collect();
     let on_tier =
@@ -670,6 +695,19 @@ fn assert_repr_batch_rows_are_repr_rows(cfg: &EmbsrConfig, seed: u64, tier: Kern
         .iter()
         .map(|s| on_tier(&|| model.repr_infer(s).expect("EMBSR encodes sessions")))
         .collect();
+    if tier == KernelTier::Packed {
+        let mut rng = embsr_tensor::Rng::seed_from_u64(0);
+        for (s, single) in sessions.iter().zip(&singles) {
+            let taped = kernels::with_tier(tier, || model.repr(s, false, &mut rng));
+            assert_eq!(
+                bits(&single.to_vec()),
+                bits(&taped.to_vec()),
+                "{} seed {seed} session {}: inference repr != taped repr",
+                cfg.name,
+                s.id
+            );
+        }
+    }
     let v = frozen.num_items();
     let want = on_tier(&|| {
         model
