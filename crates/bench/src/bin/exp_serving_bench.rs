@@ -15,12 +15,12 @@
 //!
 //! The frozen and engine paths are additionally swept across kernel tiers
 //! (`packed`, the bitwise training tier, vs `simd`, the vectorized serving
-//! default) and across snapshot precisions (`f32` vs `bf16`), so the bench
-//! records both the vectorized tier's end-to-end multiplier
-//! (`simd_engine` in the baseline) and the reduced-precision snapshot's
-//! size ratio.
+//! default), so the bench records the vectorized tier's end-to-end
+//! multiplier (`simd_engine` in the baseline), and it records the size of
+//! the model's `EMBSRSNP` snapshot.
 //!
-//! Writes `results/serving.json` plus the aggregate `BENCH_serving.json`.
+//! Writes `results/serving.json` plus the aggregate `BENCH_serving.json`,
+//! both stamped with the git revision and the available core count.
 //! The CI serving job runs `--check-baseline crates/bench/serving_baseline.json`:
 //! the batched-vs-per-session **throughput ratios** (machine-portable,
 //! unlike raw sessions/s) are compared against the checked-in baseline and
@@ -43,7 +43,7 @@ use embsr_bench::parse_args;
 use embsr_core::{Embsr, EmbsrConfig};
 use embsr_obs::JsonValue;
 use embsr_serve::{
-    serve, EngineConfig, FrozenModel, KernelTier, Precision, ScoreBatch, METRIC_BATCH_SESSIONS,
+    serve, EngineConfig, FrozenModel, KernelTier, ScoreBatch, METRIC_BATCH_SESSIONS,
     METRIC_QUEUE_DEPTH, METRIC_REQUEST_LATENCY_US,
 };
 use embsr_sessions::{MicroBehavior, Session};
@@ -159,10 +159,8 @@ fn main() {
         frozen_per_sec.push((batch, per_sec));
     }
 
-    // 3b. tier and precision sweep on the batched frozen path: the packed
-    // (bitwise training) tier isolates the vectorized tier's multiplier,
-    // and a bf16 snapshot shows reduced precision serves at full speed
-    // from half the bytes (quantized weights are stored back as f32).
+    // 3b. tier sweep on the batched frozen path: the packed (bitwise
+    // training) tier isolates the vectorized tier's multiplier.
     let mut frozen_packed = FrozenModel::freeze(Embsr::new(cfg.clone()), max_len);
     frozen_packed.set_tier(KernelTier::Packed);
     let packed_batch32 = throughput("frozen_batch32[packed]", n_sessions, passes, || {
@@ -170,20 +168,8 @@ fn main() {
             std::hint::black_box(frozen_packed.score_batch(chunk));
         }
     });
-    let frozen_bf16 =
-        FrozenModel::freeze_with_precision(Embsr::new(cfg.clone()), max_len, Precision::Bf16);
-    let bf16_batch32 = throughput("frozen_batch32[bf16]  ", n_sessions, passes, || {
-        for chunk in sessions.chunks(32) {
-            std::hint::black_box(frozen_bf16.score_batch(chunk));
-        }
-    });
     let snapshot_f32_bytes = frozen.snapshot_bytes().len();
-    let snapshot_bf16_bytes = frozen_bf16.snapshot_bytes().len();
-    println!(
-        "  snapshot bytes: f32 {snapshot_f32_bytes} · bf16 {snapshot_bf16_bytes} \
-         ({:.2}× smaller)",
-        snapshot_f32_bytes as f64 / snapshot_bf16_bytes as f64
-    );
+    println!("  snapshot bytes: {snapshot_f32_bytes}");
 
     // 4. end-to-end through the micro-batching engine, packed tier first —
     // its histograms are reset afterwards so the reported latency reflects
@@ -279,58 +265,20 @@ fn main() {
     }
 
     let rows: Vec<JsonValue> = [
-        ("per_session".to_string(), "packed", "f32", 1, single_per_sec),
-        (
-            "frozen_batch1".to_string(),
-            "simd",
-            "f32",
-            1,
-            frozen_per_sec[0].1,
-        ),
-        (
-            "frozen_batch8".to_string(),
-            "simd",
-            "f32",
-            8,
-            frozen_per_sec[1].1,
-        ),
-        (
-            "frozen_batch32".to_string(),
-            "simd",
-            "f32",
-            32,
-            frozen_per_sec[2].1,
-        ),
-        (
-            "frozen_batch32_packed".to_string(),
-            "packed",
-            "f32",
-            32,
-            packed_batch32,
-        ),
-        (
-            "frozen_batch32_bf16".to_string(),
-            "simd",
-            "bf16",
-            32,
-            bf16_batch32,
-        ),
-        (
-            "engine_packed".to_string(),
-            "packed",
-            "f32",
-            32,
-            engine_packed_per_sec,
-        ),
-        ("engine".to_string(), "simd", "f32", 32, engine_per_sec),
+        ("per_session", "packed", 1, single_per_sec),
+        ("frozen_batch1", "simd", 1, frozen_per_sec[0].1),
+        ("frozen_batch8", "simd", 8, frozen_per_sec[1].1),
+        ("frozen_batch32", "simd", 32, frozen_per_sec[2].1),
+        ("frozen_batch32_packed", "packed", 32, packed_batch32),
+        ("engine_packed", "packed", 32, engine_packed_per_sec),
+        ("engine", "simd", 32, engine_per_sec),
     ]
     .into_iter()
-    .map(|(path, tier, precision, batch, per_sec)| {
+    .map(|(path, tier, batch, per_sec)| {
         JsonValue::object(vec![
             ("experiment", JsonValue::String("serving_bench".into())),
-            ("path", JsonValue::String(path)),
+            ("path", JsonValue::String(path.into())),
             ("tier", JsonValue::String(tier.into())),
-            ("precision", JsonValue::String(precision.into())),
             ("batch", JsonValue::Number(batch as f64)),
             ("sessions_per_sec", JsonValue::Number(per_sec)),
             (
@@ -345,8 +293,12 @@ fn main() {
         if let Err(e) = std::fs::create_dir_all(&args.out_dir) {
             embsr_obs::warn!(target: "exp::serving", "out dir: {e}");
         }
+        let git_revision = JsonValue::String(embsr_obs::manifest::git_revision());
+        let cores = JsonValue::Number(embsr_obs::manifest::cores_available() as f64);
         let row_file = JsonValue::object(vec![
             ("experiment", JsonValue::String("serving_bench".into())),
+            ("git_revision", git_revision.clone()),
+            ("cores_available", cores.clone()),
             ("rows", JsonValue::Array(rows.clone())),
         ]);
         let path = args.out_dir.join("serving.json");
@@ -355,6 +307,8 @@ fn main() {
         }
         let table = JsonValue::object(vec![
             ("bench", JsonValue::String("serving".into())),
+            ("git_revision", git_revision),
+            ("cores_available", cores),
             ("quick", JsonValue::Bool(quick)),
             ("seed", JsonValue::Number(args.seed as f64)),
             ("vocab", JsonValue::Number(vocab as f64)),
@@ -367,10 +321,6 @@ fn main() {
             (
                 "snapshot_f32_bytes",
                 JsonValue::Number(snapshot_f32_bytes as f64),
-            ),
-            (
-                "snapshot_bf16_bytes",
-                JsonValue::Number(snapshot_bf16_bytes as f64),
             ),
             (
                 "reference_engine_per_sec",

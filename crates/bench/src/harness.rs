@@ -387,10 +387,9 @@ pub fn run_cell(spec: ModelSpec, dataset: &Dataset, ks: &[usize], args: &Harness
             cores_available: embsr_obs::manifest::cores_available(),
             git_revision: embsr_obs::manifest::git_revision(),
             // harness runs train + evaluate on the bitwise training tier;
-            // serving benches record "simd" and the served precision instead
+            // serving benches record "simd" instead
             kernel_tier: embsr_tensor::kernels::active_tier().name().to_string(),
             simd_lanes: embsr_tensor::kernels::simd_lanes(),
-            snapshot_precision: String::new(),
             metrics: ks
                 .iter()
                 .enumerate()

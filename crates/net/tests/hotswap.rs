@@ -9,9 +9,9 @@
 //!   the version its `model_version` tag claims, with zero failures, and
 //!   both versions' tags are observed. The traced run still reconstructs
 //!   into one legal span tree per request.
-//! * **Rejection stays healthy** — malformed, wrong-layout, and unknown
-//!   versions are refused with typed errors while scoring continues on
-//!   the active version.
+//! * **Rejection stays healthy** — malformed, wrong-layout, hostile and
+//!   unknown versions are refused with typed errors while scoring
+//!   continues on the active version.
 //! * **Status** — the staged/active lifecycle is observable over the wire
 //!   for every replica.
 //! * **Cache coherence** — a warm session-repr cache never serves reprs
@@ -26,7 +26,6 @@ use common::{guard, sess, session_pool, ToyModel};
 use embsr_net::{NetClient, NetError, Server, ServerConfig};
 use embsr_obs::trace::{self, SpanRecord};
 use embsr_obs::MemorySink;
-use embsr_serve::snapshot::encode_snapshot;
 use embsr_serve::{EngineConfig, FrozenModel, ScoreBatch, SubmitOptions};
 use embsr_sessions::Session;
 
@@ -57,8 +56,7 @@ fn start_server(replicas: usize, seed: u64, repr_cache: usize) -> (Server, Froze
 /// frozen twin for computing expected scores in-process.
 fn snapshot_for(seed: u64) -> (Vec<u8>, FrozenModel<ToyModel>) {
     let frozen = FrozenModel::freeze(ToyModel::new(NUM_ITEMS, seed), 16);
-    let bytes = encode_snapshot(frozen.snapshot(), frozen.max_session_len(), frozen.precision());
-    (bytes, frozen)
+    (frozen.snapshot_bytes(), frozen)
 }
 
 fn rows_match(expected: &[Vec<f32>], got: &[Vec<f32>]) -> bool {
@@ -234,11 +232,31 @@ fn bad_snapshots_are_refused_and_serving_stays_on_the_active_version() {
         Err(NetError::BadRequest(_)) => {}
         other => panic!("malformed snapshot must be a typed refusal, got {other:?}"),
     }
-    // Structurally valid container, wrong weight count for this model.
-    let wrong_layout = encode_snapshot(&[0.25f32; 9], 16, frozen.precision());
+    // Structurally valid container, wrong tensor shape for this model.
+    let wrong_layout = FrozenModel::freeze(ToyModel::new(3, 0), 16).snapshot_bytes();
     match client.load_snapshot(4, &wrong_layout) {
-        Err(NetError::BadRequest(_)) => {}
+        Err(NetError::BadRequest(msg)) => {
+            assert!(msg.contains("tensor 0: weights have shape [3, 3]"), "{msg}");
+            assert!(msg.contains("model has shape [24, 24]"), "{msg}");
+        }
         other => panic!("wrong layout must be a typed refusal, got {other:?}"),
+    }
+    // A hostile header: one tensor claiming 2^31 × 2^31 = 2^62 weights,
+    // whose byte size overflows. It is compared with the model's shape and
+    // refused without any size being computed from it.
+    let mut hostile = b"EMBSRSNP".to_vec();
+    hostile.extend_from_slice(&2u32.to_le_bytes()); // version
+    hostile.extend_from_slice(&16u64.to_le_bytes()); // horizon
+    hostile.extend_from_slice(&1u32.to_le_bytes()); // tensor count
+    hostile.extend_from_slice(&2u32.to_le_bytes()); // rank
+    for _ in 0..2 {
+        hostile.extend_from_slice(&(1u64 << 31).to_le_bytes());
+    }
+    match client.load_snapshot(5, &hostile) {
+        Err(NetError::BadRequest(msg)) => {
+            assert!(msg.contains("[2147483648, 2147483648]"), "{msg}");
+        }
+        other => panic!("a hostile header must be a typed refusal, got {other:?}"),
     }
     // Activating a version nobody staged.
     match client.activate(9) {

@@ -94,10 +94,6 @@ pub struct RunManifest {
     /// (`embsr_tensor::kernels::simd_lanes`): 16 under AVX-512, 8 under
     /// AVX, 4 under SSE2/NEON, 1 scalar; `0` when not recorded.
     pub simd_lanes: usize,
-    /// Frozen-snapshot weight precision served (`"f32"` / `"f16"` /
-    /// `"bf16"`, as named by `embsr_serve::Precision`); `""` when not
-    /// recorded or when the run never froze a model.
-    pub snapshot_precision: String,
     pub metrics: Vec<MetricRecord>,
 }
 
@@ -246,7 +242,6 @@ impl RunManifest {
             ("git_revision", self.git_revision.as_str().into()),
             ("kernel_tier", self.kernel_tier.as_str().into()),
             ("simd_lanes", self.simd_lanes.into()),
-            ("snapshot_precision", self.snapshot_precision.as_str().into()),
             (
                 "metrics",
                 JsonValue::Array(
@@ -333,7 +328,6 @@ impl RunManifest {
                 let n = num(v.get("simd_lanes"));
                 if n.is_nan() { 0 } else { n as usize }
             },
-            snapshot_precision: text(v.get("snapshot_precision")),
             metrics,
         })
     }
@@ -428,7 +422,6 @@ mod tests {
             git_revision: "0123abcd".into(),
             kernel_tier: "simd".into(),
             simd_lanes: 8,
-            snapshot_precision: "bf16".into(),
             metrics: vec![
                 MetricRecord {
                     name: "H@5".into(),

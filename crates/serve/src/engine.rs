@@ -34,12 +34,12 @@ use embsr_obs::trace::{self, TraceCtx};
 use embsr_obs::Stopwatch;
 use embsr_pool::run_with_workers;
 use embsr_sessions::Session;
-use embsr_train::SessionModel;
+use embsr_train::{DecodeError, LayoutMismatch, SessionModel};
 
 use crate::api::{top_k_of_row, ScoreBatch, ScoreResponse, TopK, TopKResponse};
 use crate::cache::{CacheStats, ReprCache};
 use crate::frozen::FrozenModel;
-use crate::snapshot::{self, Precision};
+use crate::snapshot;
 
 /// Histogram of end-to-end request latency in microseconds.
 pub const METRIC_REQUEST_LATENCY_US: &str = "serve.request_latency_us";
@@ -151,9 +151,10 @@ impl std::fmt::Display for ServeError {
 pub enum SwapError {
     /// [`Client::activate`] named a version that was never staged.
     UnknownVersion(u64),
-    /// The staged snapshot's weight count does not match the serving
-    /// model's parameter layout.
-    WrongLayout { expected: usize, got: usize },
+    /// The snapshot's tensor list does not fit the serving model's
+    /// parameters: its tensor count differs, or the first tensor whose
+    /// shape differs is named with both shapes.
+    WrongLayout(LayoutMismatch),
     /// The snapshot bytes failed to decode (`EMBSRSNP` framing).
     Malformed(String),
 }
@@ -162,10 +163,17 @@ impl std::fmt::Display for SwapError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SwapError::UnknownVersion(v) => write!(f, "version {v} was never staged"),
-            SwapError::WrongLayout { expected, got } => {
-                write!(f, "snapshot has {got} weights, model expects {expected}")
-            }
+            SwapError::WrongLayout(m) => write!(f, "wrong snapshot layout: {m}"),
             SwapError::Malformed(msg) => write!(f, "malformed snapshot: {msg}"),
+        }
+    }
+}
+
+impl From<DecodeError> for SwapError {
+    fn from(e: DecodeError) -> SwapError {
+        match e {
+            DecodeError::Layout(m) => SwapError::WrongLayout(m),
+            DecodeError::Malformed(msg) => SwapError::Malformed(msg),
         }
     }
 }
@@ -186,7 +194,6 @@ pub struct EngineStatus {
 struct StagedSnapshot {
     weights: Vec<f32>,
     max_session_len: usize,
-    precision: Precision,
 }
 
 /// The staged-snapshot registry shared by an engine's workers: versions
@@ -199,21 +206,20 @@ struct ModelBank {
     active: AtomicU64,
     /// Bumped on every activation; workers rebuild when it moves.
     epoch: AtomicU64,
-    /// Flat weight count of the serving model's layout; staging validates
-    /// against it so a wrong-architecture snapshot is refused up front.
-    expected_weights: usize,
+    /// The serving model's parameter shapes; staging decodes against them
+    /// so a snapshot of another layout is refused up front.
+    shapes: Vec<Vec<usize>>,
 }
 
 impl ModelBank {
-    fn new(initial_version: u64, initial: StagedSnapshot) -> ModelBank {
-        let expected_weights = initial.weights.len();
+    fn new(initial_version: u64, initial: StagedSnapshot, shapes: Vec<Vec<usize>>) -> ModelBank {
         let mut versions = BTreeMap::new();
         versions.insert(initial_version, Arc::new(initial));
         ModelBank {
             versions: Mutex::new(versions),
             active: AtomicU64::new(initial_version),
             epoch: AtomicU64::new(0),
-            expected_weights,
+            shapes,
         }
     }
 
@@ -224,13 +230,14 @@ impl ModelBank {
         }
     }
 
-    fn stage(&self, version: u64, snap: StagedSnapshot) -> Result<(), SwapError> {
-        if snap.weights.len() != self.expected_weights {
-            return Err(SwapError::WrongLayout {
-                expected: self.expected_weights,
-                got: snap.weights.len(),
-            });
-        }
+    /// Decodes `bytes` against the serving model's shapes and stages them
+    /// under `version`.
+    fn stage(&self, version: u64, bytes: &[u8]) -> Result<(), SwapError> {
+        let (weights, max_session_len) = snapshot::decode(bytes, &self.shapes)?;
+        let snap = StagedSnapshot {
+            weights,
+            max_session_len,
+        };
         self.lock_versions().insert(version, Arc::new(snap));
         Ok(())
     }
@@ -277,7 +284,6 @@ impl ModelBank {
             .unwrap_or_else(|| Arc::new(StagedSnapshot {
                 weights: Vec::new(),
                 max_session_len: 0,
-                precision: Precision::F32,
             }));
         (epoch, version, snap)
     }
@@ -556,18 +562,14 @@ impl Client<'_> {
     /// touching live scoring; flip to it later with [`Client::activate`].
     /// Staging an already-staged version replaces it (it only takes effect
     /// on the next activation).
+    ///
+    /// # Errors
+    /// [`SwapError::Malformed`] for bytes that are not a version-2
+    /// `EMBSRSNP` snapshot; [`SwapError::WrongLayout`] when its tensor list
+    /// does not fit the serving model's parameter shapes.
     pub fn stage_snapshot(&self, version: u64, bytes: &[u8]) -> Result<(), SwapError> {
         let _span = embsr_obs::span("embsr_serve", "stage_snapshot");
-        let dec = snapshot::decode_snapshot(bytes)
-            .map_err(|e| SwapError::Malformed(e.to_string()))?;
-        self.shared.bank.stage(
-            version,
-            StagedSnapshot {
-                weights: dec.weights,
-                max_session_len: dec.max_session_len,
-                precision: dec.precision,
-            },
-        )
+        self.shared.bank.stage(version, bytes)
     }
 
     /// Atomically makes a staged `version` the one scoring new batches.
@@ -719,8 +721,8 @@ where
             StagedSnapshot {
                 weights: frozen.snapshot().to_vec(),
                 max_session_len: frozen.max_session_len(),
-                precision: frozen.precision(),
             },
+            frozen.param_shapes(),
         ),
         cache: if cfg.repr_cache > 0 {
             Some(ReprCache::new(cfg.repr_cache))
@@ -732,8 +734,7 @@ where
         cfg.workers.max(1),
         |_worker_id| {
             let _death = WorkerGuard(&shared);
-            // replicas score on the master's kernel tier (snapshots are
-            // already quantized, so weights match the master bitwise)
+            // replicas score on the master's kernel tier
             let (mut local_epoch, mut local_version, snap) = shared.bank.active_state();
             let mut replica =
                 FrozenModel::from_snapshot(factory(), &snap.weights, snap.max_session_len);
@@ -748,7 +749,7 @@ where
                 if shared.bank.epoch() != local_epoch {
                     let (epoch, version, snap) = shared.bank.active_state();
                     if replica
-                        .swap_snapshot(&snap.weights, snap.max_session_len, snap.precision)
+                        .swap_snapshot(&snap.weights, snap.max_session_len)
                         .is_ok()
                     {
                         // Layout is validated at stage time, so the swap
@@ -1177,8 +1178,7 @@ mod tests {
         let want_a = f_a.score_batch(&sessions);
         let want_b = f_b.score_batch(&sessions);
         assert_ne!(want_a, want_b, "the two seeds must score differently");
-        let bytes =
-            snapshot::encode_snapshot(f_b.snapshot(), f_b.max_session_len(), Precision::F32);
+        let bytes = f_b.snapshot_bytes();
         let (before, after) = serve(
             &f_a,
             || ToyModel::new(5, 4),
@@ -1205,7 +1205,7 @@ mod tests {
     fn control_plane_rejects_bad_snapshots_and_keeps_serving() {
         let f = frozen(5, 11);
         let wrong = FrozenModel::freeze(ToyModel::new(7, 1), 32);
-        let wrong_bytes = snapshot::encode_snapshot(wrong.snapshot(), 32, Precision::F32);
+        let wrong_bytes = wrong.snapshot_bytes();
         let got = serve(
             &f,
             || ToyModel::new(5, 11),
@@ -1221,10 +1221,13 @@ mod tests {
             },
         );
         assert!(matches!(got.0, Err(SwapError::Malformed(_))), "{:?}", got.0);
-        assert!(
-            matches!(got.1, Err(SwapError::WrongLayout { .. })),
-            "{:?}",
-            got.1
+        assert_eq!(
+            got.1,
+            Err(SwapError::WrongLayout(LayoutMismatch::Shape {
+                index: 0,
+                expected: vec![5, 5],
+                got: vec![7, 7],
+            }))
         );
         assert_eq!(got.2, Err(SwapError::UnknownVersion(9)));
         assert_eq!(got.3.model_version, 1, "rejections must not move the tag");
@@ -1234,7 +1237,7 @@ mod tests {
     #[test]
     fn status_reports_active_and_staged_versions() {
         let f = frozen(5, 3);
-        let bytes = snapshot::encode_snapshot(f.snapshot(), f.max_session_len(), Precision::F32);
+        let bytes = f.snapshot_bytes();
         let (s0, s1, s2) = serve(
             &f,
             || ToyModel::new(5, 3),

@@ -9,11 +9,11 @@ use std::path::Path;
 use embsr_sessions::{MicroBehavior, Session};
 use embsr_tensor::kernels::{self, KernelTier};
 use embsr_tensor::{export_params, import_params, inference_mode, Tensor};
-use embsr_train::{truncate_session, PreparedHead, SessionModel};
+use embsr_train::{param_shapes, truncate_session, PreparedHead, SessionModel};
 
 use crate::api::{top_k_of_row, ScoredItem};
 use crate::cache::ReprCache;
-use crate::snapshot::{self, Precision};
+use crate::snapshot;
 
 /// A [`SessionModel`] frozen for serving: the weights are captured as a flat
 /// `f32` snapshot (via `export_params`) and every forward runs tape-free
@@ -27,10 +27,9 @@ use crate::snapshot::{self, Precision};
 /// [`KernelTier::Packed`] to recover the bitwise contract (the packed tier is
 /// pinned to the scalar reference).
 ///
-/// Freezing can also quantize weights to f16/bf16
-/// ([`FrozenModel::freeze_with_precision`]): the rounding happens **once**,
-/// at freeze — the frozen model serves the quantized values, so replicas
-/// rebuilt from the snapshot anywhere are bitwise-identical to the master.
+/// The weights serialize as one `EMBSRSNP` snapshot
+/// ([`FrozenModel::snapshot_bytes`]): the training checkpoint's tensor list
+/// plus the serving horizon, checked by shape when it is read back.
 ///
 /// The snapshot is plain `Send + Sync` data; worker threads replicate the
 /// model by constructing a fresh instance and calling
@@ -53,38 +52,23 @@ pub struct FrozenModel<M: SessionModel> {
     snapshot: Vec<f32>,
     max_session_len: usize,
     tier: KernelTier,
-    precision: Precision,
     /// The model's logits head prepared for `tier`; empty until the first
     /// scoring call.
     head: OnceCell<PreparedHead>,
 }
 
 impl<M: SessionModel> FrozenModel<M> {
-    /// Freezes `model` as-is, capturing its current weights at full `f32`
-    /// precision. Sessions longer than `max_session_len` micro-behaviors are
-    /// truncated to their suffix before scoring, matching the training-time
-    /// protocol.
+    /// Freezes `model` as-is, capturing its current weights. Sessions
+    /// longer than `max_session_len` micro-behaviors are truncated to their
+    /// suffix before scoring, matching the training-time protocol.
     pub fn freeze(model: M, max_session_len: usize) -> Self {
-        Self::freeze_with_precision(model, max_session_len, Precision::F32)
-    }
-
-    /// Freezes `model`, rounding every weight to the `precision` grid. For
-    /// [`Precision::F16`] / [`Precision::Bf16`] the snapshot serializes at
-    /// half the size ([`FrozenModel::snapshot_bytes`]) and the model's
-    /// working weights **are** the quantized values — the precision loss
-    /// happens here, exactly once, never again per snapshot hop.
-    pub fn freeze_with_precision(model: M, max_session_len: usize, precision: Precision) -> Self {
         let _span = embsr_obs::span("embsr_serve", "freeze");
-        let snapshot = snapshot::quantize_weights(&export_params(&model.parameters()), precision);
-        if precision != Precision::F32 {
-            import_params(&model.parameters(), &snapshot);
-        }
+        let snapshot = export_params(&model.parameters());
         FrozenModel {
             model,
             snapshot,
             max_session_len,
             tier: KernelTier::Simd,
-            precision,
             head: OnceCell::new(),
         }
     }
@@ -100,7 +84,6 @@ impl<M: SessionModel> FrozenModel<M> {
             snapshot: snapshot.to_vec(),
             max_session_len,
             tier: KernelTier::Simd,
-            precision: Precision::F32,
             head: OnceCell::new(),
         }
     }
@@ -112,13 +95,9 @@ impl<M: SessionModel> FrozenModel<M> {
     ///
     /// # Errors
     /// Fails (leaving the replica untouched) when the weight count differs
-    /// from the model's layout.
-    pub fn swap_snapshot(
-        &mut self,
-        snapshot: &[f32],
-        max_session_len: usize,
-        precision: Precision,
-    ) -> io::Result<()> {
+    /// from the model's layout. A flat buffer carries no shapes; snapshot
+    /// bytes ([`FrozenModel::from_snapshot_bytes`]) are checked by shape.
+    pub fn swap_snapshot(&mut self, snapshot: &[f32], max_session_len: usize) -> io::Result<()> {
         let _span = embsr_obs::span("embsr_serve", "swap_snapshot");
         let expected: usize = self.model.parameters().iter().map(|p| p.len()).sum();
         if snapshot.len() != expected {
@@ -134,68 +113,54 @@ impl<M: SessionModel> FrozenModel<M> {
         self.head.take();
         self.snapshot = snapshot.to_vec();
         self.max_session_len = max_session_len;
-        self.precision = precision;
         Ok(())
     }
 
     /// Rebuilds a frozen replica from serialized `EMBSRSNP` bytes
-    /// ([`FrozenModel::snapshot_bytes`]), restoring the stored horizon and
-    /// precision. This is the wire format: reduced-precision snapshots ship
-    /// at half the bytes and decode to the exact quantized weights the
-    /// master serves.
+    /// ([`FrozenModel::snapshot_bytes`]), restoring the stored horizon.
     ///
     /// # Errors
-    /// Fails on malformed bytes or a weight count that does not match the
-    /// model's parameter layout.
+    /// Fails on malformed bytes, or when the snapshot's tensor list does
+    /// not fit `model`'s parameters: the message names the tensor count or
+    /// the first tensor whose shape differs, with both shapes. Two tensors
+    /// of the same shape cannot be told apart.
     pub fn from_snapshot_bytes(model: M, bytes: &[u8]) -> io::Result<Self> {
         let _span = embsr_obs::span("embsr_serve", "from_snapshot_bytes");
-        let dec = snapshot::decode_snapshot(bytes)?;
-        let expected: usize = model.parameters().iter().map(|p| p.len()).sum();
-        if dec.weights.len() != expected {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "snapshot has {} weights, model expects {expected}",
-                    dec.weights.len()
-                ),
-            ));
-        }
-        let mut frozen = Self::from_snapshot(model, &dec.weights, dec.max_session_len);
-        frozen.precision = dec.precision;
-        Ok(frozen)
+        let (weights, max_session_len) =
+            snapshot::decode(bytes, &param_shapes(&model.parameters()))?;
+        Ok(Self::from_snapshot(model, &weights, max_session_len))
     }
 
-    /// Serializes the frozen model to `EMBSRSNP` bytes at its freeze
-    /// precision (reduced precisions re-narrow losslessly — the working
-    /// weights already sit on the grid).
+    /// Serializes the frozen model to `EMBSRSNP` bytes: its tensor list and
+    /// serving horizon.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         let _span = embsr_obs::span("embsr_serve", "snapshot_bytes");
-        snapshot::encode_snapshot(&self.snapshot, self.max_session_len, self.precision)
+        snapshot::encode(&self.model.parameters(), self.max_session_len)
     }
 
     /// Writes the serialized snapshot to `path`.
     pub fn save(&self, path: &Path) -> io::Result<()> {
         let _span = embsr_obs::span("embsr_serve", "save");
-        snapshot::save_snapshot(path, &self.snapshot, self.max_session_len, self.precision)
+        std::fs::write(path, self.snapshot_bytes())
     }
 
     /// Loads a snapshot saved by [`FrozenModel::save`] into a fresh,
     /// architecturally identical model.
     ///
     /// # Errors
-    /// Fails on I/O errors, malformed bytes, or a layout mismatch.
+    /// Fails on I/O errors and wherever [`FrozenModel::from_snapshot_bytes`]
+    /// fails.
     pub fn load(model: M, path: &Path) -> io::Result<Self> {
         let _span = embsr_obs::span("embsr_serve", "load");
-        let dec = snapshot::load_snapshot(path)?;
-        Self::from_snapshot_bytes(
-            model,
-            &snapshot::encode_snapshot(&dec.weights, dec.max_session_len, dec.precision),
-        )
+        Self::from_snapshot_bytes(model, &std::fs::read(path)?)
+    }
+
+    /// The parameter shapes a snapshot for this model must carry.
+    pub(crate) fn param_shapes(&self) -> Vec<Vec<usize>> {
+        param_shapes(&self.model.parameters())
     }
 
     /// The flat weight snapshot (feed to [`FrozenModel::from_snapshot`]).
-    /// For reduced-precision freezes these are the quantized values widened
-    /// to `f32`.
     pub fn snapshot(&self) -> &[f32] {
         &self.snapshot
     }
@@ -217,11 +182,6 @@ impl<M: SessionModel> FrozenModel<M> {
     pub fn set_tier(&mut self, tier: KernelTier) {
         self.tier = tier;
         self.head.take();
-    }
-
-    /// The precision the weights were frozen at.
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     /// Model name.
@@ -429,7 +389,6 @@ mod tests {
         assert_eq!(frozen.score(&s), replica.score(&s));
         assert_eq!(frozen.num_items(), 6);
         assert_eq!(frozen.tier(), KernelTier::Simd);
-        assert_eq!(frozen.precision(), Precision::F32);
     }
 
     #[test]
@@ -489,38 +448,25 @@ mod tests {
     }
 
     #[test]
-    fn reduced_precision_freeze_serves_quantized_weights() {
-        for p in [Precision::F16, Precision::Bf16] {
-            let frozen = FrozenModel::freeze_with_precision(ToyModel::new(6, 7), 32, p);
-            assert_eq!(frozen.precision(), p);
-            // working weights == snapshot (the quantized grid), so a replica
-            // rebuilt from the f32 snapshot scores bitwise-identically
-            let replica = FrozenModel::from_snapshot(ToyModel::new(6, 99), frozen.snapshot(), 32);
-            let s = sess(&[1, 3, 2]);
-            assert_eq!(frozen.score(&s), replica.score(&s));
-        }
-    }
-
-    #[test]
     fn snapshot_bytes_round_trip_preserves_scores_and_size() {
-        // big enough that the 29-byte header doesn't mask the 2× payload
-        let full = FrozenModel::freeze(ToyModel::new(64, 7), 16);
-        let half = FrozenModel::freeze_with_precision(ToyModel::new(64, 7), 16, Precision::F16);
-        let full_bytes = full.snapshot_bytes();
-        let half_bytes = half.snapshot_bytes();
-        assert!(
-            (full_bytes.len() as f64 / half_bytes.len() as f64) > 1.9,
-            "{} vs {}",
-            full_bytes.len(),
-            half_bytes.len()
-        );
-        let replica = FrozenModel::from_snapshot_bytes(ToyModel::new(64, 99), &half_bytes).unwrap();
-        assert_eq!(replica.precision(), Precision::F16);
+        let frozen = FrozenModel::freeze(ToyModel::new(64, 7), 16);
+        let bytes = frozen.snapshot_bytes();
+        // header (magic, version, horizon), count, rank, two dims, weights
+        assert_eq!(bytes.len(), 20 + 4 + 4 + 16 + 64 * 64 * 4);
+        let replica = FrozenModel::from_snapshot_bytes(ToyModel::new(64, 99), &bytes).unwrap();
         assert_eq!(replica.max_session_len(), 16);
+        assert_eq!(replica.snapshot(), frozen.snapshot());
         let s = sess(&[4, 2]);
-        assert_eq!(half.score(&s), replica.score(&s));
-        // layout mismatch is rejected, not mis-imported
-        assert!(FrozenModel::from_snapshot_bytes(ToyModel::new(7, 0), &half_bytes).is_err());
+        assert_eq!(frozen.score(&s), replica.score(&s));
+        // layout mismatch is rejected by shape, not mis-imported
+        let err = FrozenModel::from_snapshot_bytes(ToyModel::new(7, 0), &bytes)
+            .err()
+            .expect("wrong layout");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            err.to_string(),
+            "tensor 0: weights have shape [64, 64], model has shape [7, 7]"
+        );
     }
 
     #[test]
@@ -529,16 +475,14 @@ mod tests {
         let mut live = FrozenModel::freeze(ToyModel::new(6, 7), 32);
         let s = sess(&[1, 3]);
         let before = live.score(&s);
-        live.swap_snapshot(next.snapshot(), next.max_session_len(), next.precision())
+        live.swap_snapshot(next.snapshot(), next.max_session_len())
             .unwrap();
         assert_eq!(live.score(&s), next.score(&s));
         assert_ne!(live.score(&s), before);
         assert_eq!(live.max_session_len(), 16);
         // a wrong-layout snapshot is rejected and the replica is untouched
         let wrong = FrozenModel::freeze(ToyModel::new(9, 0), 16);
-        assert!(live
-            .swap_snapshot(wrong.snapshot(), 16, Precision::F32)
-            .is_err());
+        assert!(live.swap_snapshot(wrong.snapshot(), 16).is_err());
         assert_eq!(live.score(&s), next.score(&s));
     }
 
@@ -571,7 +515,7 @@ mod tests {
 
         // a weight import drops the head; the next score rebuilds it from
         // the new weights
-        live.swap_snapshot(next.snapshot(), 16, Precision::F32).unwrap();
+        live.swap_snapshot(next.snapshot(), 16).unwrap();
         assert!(live.head.get().is_none());
         assert_eq!(live.top_k(&s, 3), next.top_k(&s, 3));
         assert_eq!(live.score_batch(&s), next.score_batch(&s));
@@ -594,13 +538,11 @@ mod tests {
 
     #[test]
     fn save_load_round_trips_through_disk() {
-        let frozen =
-            FrozenModel::freeze_with_precision(ToyModel::new(5, 11), 8, Precision::Bf16);
+        let frozen = FrozenModel::freeze(ToyModel::new(5, 11), 8);
         let path = std::env::temp_dir().join(format!("embsr_frozen_{}.snp", std::process::id()));
         frozen.save(&path).unwrap();
         let loaded = FrozenModel::load(ToyModel::new(5, 0), &path).unwrap();
         std::fs::remove_file(&path).ok();
-        assert_eq!(loaded.precision(), Precision::Bf16);
         assert_eq!(loaded.max_session_len(), 8);
         let s = sess(&[1, 4]);
         assert_eq!(frozen.score(&s), loaded.score(&s));

@@ -19,19 +19,21 @@
 //!   emits a reconstructable span tree (`score_request` → `queue_wait` /
 //!   `batch_assembly` / `scoring`, plus `top_k` selection).
 //!
-//! Serving defaults to the **vectorized kernel tier** with optional
-//! f16/bf16 frozen snapshots ([`snapshot`]). The equivalence contract is
-//! tiered (`tests/serving_equivalence.rs`): batched-vs-single stays
-//! **bitwise** within any tier (GEMM rows are independent reductions, so
-//! batching changes throughput, never scores); the packed tier stays
-//! bitwise with the taped training path; the vectorized tier and reduced
-//! precisions are epsilon-gated with **exact Hit@20/MRR@20 identity**.
+//! Serving defaults to the **vectorized kernel tier**. Weights travel as
+//! `EMBSRSNP` snapshots ([`FrozenModel::snapshot_bytes`]): the training
+//! checkpoint's tensor list plus the serving horizon, checked by shape
+//! wherever they are read. The equivalence contract is tiered
+//! (`tests/serving_equivalence.rs`): batched-vs-single stays **bitwise**
+//! within any tier (GEMM rows are independent reductions, so batching
+//! changes throughput, never scores); the packed tier stays bitwise with
+//! the taped training path; the vectorized tier is epsilon-gated with
+//! **exact Hit@20/MRR@20 identity**.
 
 mod api;
 mod cache;
 mod engine;
 mod frozen;
-pub mod snapshot;
+mod snapshot;
 
 pub use api::{top_k_of_row, ScoreBatch, ScoreResponse, ScoredItem, TopK, TopKResponse};
 pub use cache::{
@@ -44,7 +46,6 @@ pub use engine::{
     METRIC_REQUEST_LATENCY_US, METRIC_SESSIONS_SCORED, METRIC_SNAPSHOT_SWAPS,
 };
 pub use frozen::FrozenModel;
-pub use snapshot::Precision;
 // downstream crates (embsr-net) pick tiers without a direct tensor edge
 pub use embsr_tensor::kernels::KernelTier;
 

@@ -1,317 +1,141 @@
-//! Reduced-precision weight snapshots: the `EMBSRSNP` binary format.
+//! Serving snapshots: the `EMBSRSNP` binary format.
 //!
-//! A serving snapshot is a flat weight vector plus the serving horizon,
-//! stored at a chosen precision:
+//! A serving snapshot is the training checkpoint's tensor list
+//! ([`embsr_train::encode_tensors`]) plus the serving horizon:
 //!
 //! ```text
-//! magic "EMBSRSNP" | u32 version | u8 precision | u64 max_session_len |
-//!   u64 weight count | weights (f32 LE, or u16 LE half bits)
+//! magic "EMBSRSNP" | u32 version 2 | u64 max_session_len |
+//!   u32 tensor count | per tensor: u32 rank | u64 dims… | f32 LE data…
 //! ```
 //!
-//! f16/bf16 snapshots are ~2× smaller on disk and on the wire. The cast is
-//! absorbed **at freeze time**: [`quantize_weights`] rounds every weight to
-//! the reduced grid and immediately widens it back to `f32`, and the frozen
-//! model *serves those quantized values*. Because encode∘decode is
-//! idempotent (grid points re-encode to the same bits — asserted in
-//! `embsr_tensor::half`), a replica rebuilt anywhere from the snapshot bytes
-//! is bitwise-identical to the master frozen model: the precision loss
-//! happens exactly once, at freeze, never per hop.
+//! Decoding checks the tensor count and every tensor's shape against the
+//! receiver's parameters before it reads the weights, so a snapshot of
+//! another configuration or with a reordered parameter list is refused by
+//! name, even when its weight count matches. Shapes cannot tell apart two
+//! tensors of the same shape. Version 1 (a flat weight vector checked only
+//! by its count) is refused as an unsupported version.
 
-use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::path::Path;
-
-use embsr_tensor::half;
+use embsr_tensor::Tensor;
+use embsr_train::{decode_tensors, encode_tensors, DecodeError};
 
 const MAGIC: &[u8; 8] = b"EMBSRSNP";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
-/// Storage precision of a serving snapshot.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Precision {
-    /// Full `f32` weights: byte-exact with the trained parameters.
-    F32,
-    /// IEEE binary16: ~2× smaller, 11 significand bits.
-    F16,
-    /// bfloat16: ~2× smaller, f32's exponent range, 8 significand bits.
-    Bf16,
-}
-
-impl Precision {
-    /// Stable lower-case name, used in manifests, benches and CLI flags.
-    pub fn name(self) -> &'static str {
-        match self {
-            Precision::F32 => "f32",
-            Precision::F16 => "f16",
-            Precision::Bf16 => "bf16",
-        }
-    }
-
-    /// Parses a precision name as produced by [`Precision::name`].
-    pub fn parse(s: &str) -> Option<Precision> {
-        match s {
-            "f32" => Some(Precision::F32),
-            "f16" => Some(Precision::F16),
-            "bf16" => Some(Precision::Bf16),
-            _ => None,
-        }
-    }
-
-    /// Bytes each weight occupies in the encoded snapshot.
-    pub fn bytes_per_weight(self) -> usize {
-        match self {
-            Precision::F32 => 4,
-            Precision::F16 | Precision::Bf16 => 2,
-        }
-    }
-
-    fn tag(self) -> u8 {
-        match self {
-            Precision::F32 => 0,
-            Precision::F16 => 1,
-            Precision::Bf16 => 2,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Option<Precision> {
-        match tag {
-            0 => Some(Precision::F32),
-            1 => Some(Precision::F16),
-            2 => Some(Precision::Bf16),
-            _ => None,
-        }
-    }
-}
-
-/// Rounds every weight to the `precision` grid and widens back to `f32`.
-/// Identity for [`Precision::F32`]; idempotent for all precisions.
-pub fn quantize_weights(weights: &[f32], precision: Precision) -> Vec<f32> {
-    let _span = embsr_obs::span("embsr_serve", "quantize_weights");
-    match precision {
-        Precision::F32 => weights.to_vec(),
-        Precision::F16 => half::cast_f16_to_f32(&half::cast_f32_to_f16(weights)),
-        Precision::Bf16 => half::cast_bf16_to_f32(&half::cast_f32_to_bf16(weights)),
-    }
-}
-
-/// A snapshot decoded back to `f32` weights plus its stored metadata.
-pub struct DecodedSnapshot {
-    /// Widened weights — already on the `precision` grid, ready for
-    /// `import_params`.
-    pub weights: Vec<f32>,
-    /// The serving horizon the snapshot was frozen with.
-    pub max_session_len: usize,
-    /// The precision the weights were stored at.
-    pub precision: Precision,
-}
-
-/// Encodes weights into `EMBSRSNP` bytes. `weights` should already be on
-/// the `precision` grid (the frozen model's are); encoding merely narrows
-/// the representation.
-pub fn encode_snapshot(weights: &[f32], max_session_len: usize, precision: Precision) -> Vec<u8> {
-    let _span = embsr_obs::span("embsr_serve", "encode_snapshot");
-    let header = MAGIC.len() + 4 + 1 + 8 + 8;
-    let mut out = Vec::with_capacity(header + weights.len() * precision.bytes_per_weight());
+/// Encodes `params` and the serving horizon as `EMBSRSNP` bytes.
+pub(crate) fn encode(params: &[Tensor], max_session_len: usize) -> Vec<u8> {
+    let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
-    out.push(precision.tag());
     out.extend_from_slice(&(max_session_len as u64).to_le_bytes());
-    out.extend_from_slice(&(weights.len() as u64).to_le_bytes());
-    match precision {
-        Precision::F32 => {
-            for &v in weights {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        Precision::F16 => {
-            for b in half::cast_f32_to_f16(weights) {
-                out.extend_from_slice(&b.to_le_bytes());
-            }
-        }
-        Precision::Bf16 => {
-            for b in half::cast_f32_to_bf16(weights) {
-                out.extend_from_slice(&b.to_le_bytes());
-            }
-        }
-    }
+    encode_tensors(params, &mut out);
     out
 }
 
-/// Decodes `EMBSRSNP` bytes, widening reduced-precision weights to `f32`.
+/// Decodes `EMBSRSNP` bytes against the receiver's parameter `shapes` into
+/// the flat weights and the serving horizon.
 ///
 /// # Errors
-/// Fails on bad magic, unknown version/precision, or truncated data.
-pub fn decode_snapshot(bytes: &[u8]) -> io::Result<DecodedSnapshot> {
-    let _span = embsr_obs::span("embsr_serve", "decode_snapshot");
-    let mut r = bytes;
-    let mut magic = [0u8; 8];
-    read_into(&mut r, &mut magic)?;
-    if &magic != MAGIC {
-        return Err(bad("not an EMBSR snapshot (bad magic)"));
-    }
-    let version = {
-        let mut b = [0u8; 4];
-        read_into(&mut r, &mut b)?;
-        u32::from_le_bytes(b)
-    };
+/// [`DecodeError::Layout`] when the tensor list does not fit `shapes`;
+/// [`DecodeError::Malformed`] on a bad magic, an unsupported version or
+/// truncated or trailing bytes.
+pub(crate) fn decode(
+    bytes: &[u8],
+    shapes: &[Vec<usize>],
+) -> Result<(Vec<f32>, usize), DecodeError> {
+    let malformed = |msg: &str| DecodeError::Malformed(msg.into());
+    let rest = bytes
+        .strip_prefix(MAGIC)
+        .ok_or_else(|| malformed("not an EMBSR snapshot (bad magic)"))?;
+    let (version, rest) = rest
+        .split_first_chunk::<4>()
+        .ok_or_else(|| malformed("truncated snapshot header"))?;
+    let version = u32::from_le_bytes(*version);
     if version != VERSION {
-        return Err(bad(&format!("unsupported snapshot version {version}")));
-    }
-    let mut tag = [0u8; 1];
-    read_into(&mut r, &mut tag)?;
-    let precision = Precision::from_tag(tag[0])
-        .ok_or_else(|| bad(&format!("unknown precision tag {}", tag[0])))?;
-    let max_session_len = read_u64(&mut r)? as usize;
-    let count = read_u64(&mut r)? as usize;
-    let expected = count * precision.bytes_per_weight();
-    if r.len() != expected {
-        return Err(bad(&format!(
-            "snapshot payload is {} bytes, header promises {expected}",
-            r.len()
+        return Err(malformed(&format!(
+            "unsupported snapshot version {version}"
         )));
     }
-    let weights = match precision {
-        Precision::F32 => r
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect(),
-        Precision::F16 => r
-            .chunks_exact(2)
-            .map(|c| half::f16_bits_to_f32(u16::from_le_bytes([c[0], c[1]])))
-            .collect(),
-        Precision::Bf16 => r
-            .chunks_exact(2)
-            .map(|c| half::bf16_bits_to_f32(u16::from_le_bytes([c[0], c[1]])))
-            .collect(),
-    };
-    Ok(DecodedSnapshot {
-        weights,
-        max_session_len,
-        precision,
-    })
-}
-
-/// Writes an encoded snapshot to `path`.
-pub fn save_snapshot(
-    path: &Path,
-    weights: &[f32],
-    max_session_len: usize,
-    precision: Precision,
-) -> io::Result<()> {
-    let _span = embsr_obs::span("embsr_serve", "save_snapshot");
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(&encode_snapshot(weights, max_session_len, precision))?;
-    w.flush()
-}
-
-/// Reads and decodes a snapshot from `path`.
-pub fn load_snapshot(path: &Path) -> io::Result<DecodedSnapshot> {
-    let _span = embsr_obs::span("embsr_serve", "load_snapshot");
-    let mut r = BufReader::new(File::open(path)?);
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes)?;
-    decode_snapshot(&bytes)
-}
-
-fn read_into(r: &mut &[u8], buf: &mut [u8]) -> io::Result<()> {
-    Read::read_exact(r, buf)
-}
-
-fn read_u64(r: &mut &[u8]) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    read_into(r, &mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn bad(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
+    let (max_session_len, list) = rest
+        .split_first_chunk::<8>()
+        .ok_or_else(|| malformed("truncated snapshot header"))?;
+    let max_session_len = usize::try_from(u64::from_le_bytes(*max_session_len))
+        .map_err(|_| malformed("serving horizon out of range"))?;
+    Ok((decode_tensors(list, shapes)?, max_session_len))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use embsr_train::{param_shapes, LayoutMismatch};
 
-    fn toy_weights() -> Vec<f32> {
-        (0..517).map(|i| (i as f32 * 0.173).sin() * 3.0).collect()
+    fn toy_params() -> Vec<Tensor> {
+        let ws: Vec<f32> = (0..517).map(|i| (i as f32 * 0.173).sin() * 3.0).collect();
+        vec![
+            Tensor::from_vec(ws[..500].to_vec(), &[20, 25]),
+            Tensor::from_vec(ws[500..].to_vec(), &[17]),
+        ]
     }
 
     #[test]
     fn f32_round_trip_is_byte_exact() {
-        let ws = toy_weights();
-        let enc = encode_snapshot(&ws, 48, Precision::F32);
-        let dec = decode_snapshot(&enc).unwrap();
-        assert_eq!(dec.max_session_len, 48);
-        assert_eq!(dec.precision, Precision::F32);
-        let a: Vec<u32> = ws.iter().map(|v| v.to_bits()).collect();
-        let b: Vec<u32> = dec.weights.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn reduced_snapshots_are_half_the_size() {
-        let ws = toy_weights();
-        let full = encode_snapshot(&ws, 32, Precision::F32).len();
-        for p in [Precision::F16, Precision::Bf16] {
-            let reduced = encode_snapshot(&ws, 32, p).len();
-            // payload exactly halves; the 29-byte header bounds the ratio
-            assert_eq!(reduced, full - ws.len() * 2, "{p:?}");
-            assert!((full as f64 / reduced as f64) > 1.9, "{p:?}: {full} vs {reduced}");
-        }
-    }
-
-    #[test]
-    fn quantize_then_encode_is_stable_across_hops() {
-        // Master quantizes once; every further encode/decode hop must be
-        // byte-identical (this is what makes remote replicas bitwise-equal).
-        let ws = toy_weights();
-        for p in [Precision::F16, Precision::Bf16] {
-            let q = quantize_weights(&ws, p);
-            let hop1 = encode_snapshot(&q, 32, p);
-            let dec1 = decode_snapshot(&hop1).unwrap();
-            let hop2 = encode_snapshot(&dec1.weights, 32, p);
-            assert_eq!(hop1, hop2, "{p:?} re-encode drifted");
-            let q_bits: Vec<u32> = q.iter().map(|v| v.to_bits()).collect();
-            let d_bits: Vec<u32> = dec1.weights.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(q_bits, d_bits, "{p:?} decode drifted from quantized master");
-        }
-    }
-
-    #[test]
-    fn corrupt_snapshots_are_rejected() {
-        let ws = toy_weights();
-        let enc = encode_snapshot(&ws, 32, Precision::Bf16);
-        assert!(decode_snapshot(&enc[..10]).is_err(), "truncated header");
-        assert!(decode_snapshot(&enc[..enc.len() - 3]).is_err(), "truncated payload");
-        let mut bad_magic = enc.clone();
-        bad_magic[0] = b'X';
-        assert!(decode_snapshot(&bad_magic).is_err());
-        let mut bad_tag = enc.clone();
-        bad_tag[12] = 9;
-        assert!(decode_snapshot(&bad_tag).is_err());
-    }
-
-    #[test]
-    fn precision_names_round_trip() {
-        for p in [Precision::F32, Precision::F16, Precision::Bf16] {
-            assert_eq!(Precision::parse(p.name()), Some(p));
-        }
-        assert_eq!(Precision::parse("f64"), None);
+        let params = toy_params();
+        let enc = encode(&params, 48);
+        let (weights, max_len) = decode(&enc, &param_shapes(&params)).unwrap();
+        assert_eq!(max_len, 48);
+        let want: Vec<u32> = embsr_tensor::export_params(&params)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        let got: Vec<u32> = weights.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want);
+        // header 20 bytes, count 4, per tensor rank 4 + dims 8·rank + data
+        assert_eq!(enc.len(), 20 + 4 + (4 + 16 + 2000) + (4 + 8 + 68));
     }
 
     #[test]
     fn save_load_round_trips_through_disk() {
-        let ws = toy_weights();
-        let q = quantize_weights(&ws, Precision::F16);
+        // the file `FrozenModel::save` writes is exactly the snapshot bytes
+        let frozen = crate::FrozenModel::freeze(crate::testing::ToyModel::new(5, 11), 24);
         let path = std::env::temp_dir().join(format!("embsr_snap_{}.snp", std::process::id()));
-        save_snapshot(&path, &q, 24, Precision::F16).unwrap();
-        let on_disk = std::fs::metadata(&path).unwrap().len() as usize;
-        assert_eq!(on_disk, 29 + ws.len() * 2, "header + u16 payload");
-        let dec = load_snapshot(&path).unwrap();
+        frozen.save(&path).unwrap();
+        let on_disk = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        assert_eq!(dec.max_session_len, 24);
-        assert_eq!(dec.precision, Precision::F16);
-        let a: Vec<u32> = q.iter().map(|v| v.to_bits()).collect();
-        let b: Vec<u32> = dec.weights.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(on_disk, frozen.snapshot_bytes());
+        let (weights, max_len) = decode(&on_disk, &[vec![5, 5]]).unwrap();
+        assert_eq!(max_len, 24);
+        let a: Vec<u32> = frozen.snapshot().iter().map(|v| v.to_bits()).collect();
+        let b: Vec<u32> = weights.iter().map(|v| v.to_bits()).collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn corrupt_snapshots_are_rejected() {
+        let params = toy_params();
+        let shapes = param_shapes(&params);
+        let enc = encode(&params, 32);
+        let malformed =
+            |bytes: &[u8]| matches!(decode(bytes, &shapes), Err(DecodeError::Malformed(_)));
+        assert!(malformed(&enc[..10]), "truncated header");
+        assert!(malformed(&enc[..enc.len() - 3]), "truncated payload");
+        assert!(malformed(&[enc.as_slice(), &[0]].concat()), "trailing byte");
+        let mut bad_magic = enc.clone();
+        bad_magic[0] = b'X';
+        assert!(malformed(&bad_magic));
+        let mut v1 = enc.clone();
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let Err(DecodeError::Malformed(msg)) = decode(&v1, &shapes) else {
+            panic!("a version-1 snapshot must be refused");
+        };
+        assert!(msg.contains("unsupported snapshot version 1"), "{msg}");
+        // the receiver's shapes, listed the other way round
+        let swapped = vec![shapes[1].clone(), shapes[0].clone()];
+        assert_eq!(
+            decode(&enc, &swapped).unwrap_err(),
+            DecodeError::Layout(LayoutMismatch::Shape {
+                index: 0,
+                expected: vec![17],
+                got: vec![20, 25],
+            })
+        );
     }
 }

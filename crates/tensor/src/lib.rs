@@ -38,8 +38,6 @@
 
 mod autograd;
 mod flat;
-/// f16/bf16 bit conversions for reduced-precision snapshots.
-pub mod half;
 mod inference;
 mod init;
 /// Packed GEMM micro-kernels, their tier selection, and the scalar reference

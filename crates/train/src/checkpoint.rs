@@ -1,24 +1,36 @@
-//! Parameter checkpointing.
+//! Parameter checkpointing and the tensor list, the one weight encoding.
 //!
-//! Saves and restores the trainable parameters of any [`SessionModel`] (or
-//! any explicit tensor list) with a small self-describing binary format, so
-//! trained models survive process restarts without pulling in a
-//! serialization framework:
+//! Every weight file stores its parameters as a **tensor list**, encoded by
+//! [`encode_tensors`] and decoded by [`decode_tensors`] on byte slices:
 //!
 //! ```text
-//! magic "EMBSRCKP" | u32 version | u32 tensor count |
-//!   per tensor: u32 rank | u64 dims… | f32 data…
+//! u32 tensor count | per tensor: u32 rank | u64 dims… | f32 LE data…
 //! ```
+//!
+//! A training checkpoint is that list behind a magic and a version:
+//!
+//! ```text
+//! magic "EMBSRCKP" | u32 version | tensor list
+//! ```
+//!
+//! and `embsr_serve`'s `EMBSRSNP` serving snapshot wraps the same list with
+//! the serving horizon. Loading decodes the whole list against the
+//! receiver's shapes first and imports only then, so a load that fails
+//! leaves every parameter untouched.
 //!
 //! Tensors are matched **by position**, so the loading model must be built
 //! with the same configuration as the saving one (the usual contract for
-//! weight files).
+//! weight files). The shape check refuses a different configuration or a
+//! reordered parameter list, but it cannot tell apart two tensors of the
+//! same shape: a list with two such tensors swapped loads them into each
+//! other's place.
 
+use std::fmt;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use embsr_tensor::{AdamParamState, Tensor};
+use embsr_tensor::{import_params, AdamParamState, Tensor};
 
 use crate::parallel::TrainState;
 use crate::recommender::SessionModel;
@@ -30,6 +42,155 @@ const VERSION: u32 = 1;
 const STATE_MAGIC: &[u8; 8] = b"EMBSRTRS";
 const STATE_VERSION: u32 = 1;
 
+/// How a tensor list differs from the shapes it was decoded against.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum LayoutMismatch {
+    /// The list holds `got` tensors; the receiver has `expected`.
+    Count { expected: usize, got: usize },
+    /// Tensor `index` is the first whose rank or dims differ.
+    Shape {
+        index: usize,
+        expected: Vec<usize>,
+        got: Vec<u64>,
+    },
+}
+
+impl fmt::Display for LayoutMismatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LayoutMismatch::Count { expected, got } => {
+                write!(f, "weights hold {got} tensors, model has {expected}")
+            }
+            LayoutMismatch::Shape {
+                index,
+                expected,
+                got,
+            } => write!(
+                f,
+                "tensor {index}: weights have shape {got:?}, model has shape {expected:?}"
+            ),
+        }
+    }
+}
+
+/// Why bytes failed to decode as a tensor list.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum DecodeError {
+    /// The tensor count or a tensor's shape differs from the receiver's.
+    Layout(LayoutMismatch),
+    /// The bytes end inside the list, or run on past its last tensor.
+    Malformed(String),
+}
+
+impl fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DecodeError::Layout(m) => m.fmt(f),
+            DecodeError::Malformed(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl From<DecodeError> for io::Error {
+    fn from(e: DecodeError) -> io::Error {
+        bad(&e.to_string())
+    }
+}
+
+/// The shape of every tensor in `params`, in list order: what
+/// [`decode_tensors`] checks a tensor list against.
+pub fn param_shapes(params: &[Tensor]) -> Vec<Vec<usize>> {
+    params.iter().map(|p| p.shape().dims().to_vec()).collect()
+}
+
+/// Appends the tensor-list encoding of `tensors` to `out`.
+pub fn encode_tensors(tensors: &[Tensor], out: &mut Vec<u8>) {
+    let size: usize = tensors
+        .iter()
+        .map(|t| 4 + 8 * t.shape().dims().len() + 4 * t.len())
+        .sum();
+    out.reserve(4 + size);
+    out.extend_from_slice(&(tensors.len() as u32).to_le_bytes());
+    for t in tensors {
+        let dims = t.shape().dims();
+        out.extend_from_slice(&(dims.len() as u32).to_le_bytes());
+        for &d in dims {
+            out.extend_from_slice(&(d as u64).to_le_bytes());
+        }
+        for v in t.data().iter() {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+}
+
+/// Decodes a tensor list written by [`encode_tensors`] against the
+/// receiver's parameter `shapes` and returns its weights as one flat buffer
+/// in list order, the layout `import_params` takes. It writes to no tensor.
+///
+/// The count, and each tensor's rank and dims, are compared with `shapes`
+/// before any of that tensor's data is read, so no size is ever computed
+/// from a dim the receiver does not have; the sizes that are computed use
+/// checked arithmetic. The bytes must end exactly after the last tensor.
+///
+/// Shapes cannot tell apart two tensors of the same shape: a list with two
+/// such tensors swapped decodes without error.
+///
+/// # Errors
+/// [`DecodeError::Layout`] names the count or the first tensor that
+/// differs from `shapes`; [`DecodeError::Malformed`] reports truncated or
+/// trailing bytes.
+pub fn decode_tensors(bytes: &[u8], shapes: &[Vec<usize>]) -> Result<Vec<f32>, DecodeError> {
+    let mut r = bytes;
+    let count = u32::from_le_bytes(take(&mut r, "tensor count")?) as usize;
+    if count != shapes.len() {
+        return Err(DecodeError::Layout(LayoutMismatch::Count {
+            expected: shapes.len(),
+            got: count,
+        }));
+    }
+    let mut flat = Vec::with_capacity(bytes.len() / 4);
+    for (index, expected) in shapes.iter().enumerate() {
+        let rank = u32::from_le_bytes(take(&mut r, "tensor rank")?);
+        let got = (0..rank)
+            .map(|_| take(&mut r, "tensor dims").map(u64::from_le_bytes))
+            .collect::<Result<Vec<u64>, _>>()?;
+        if !got.iter().copied().eq(expected.iter().map(|&d| d as u64)) {
+            return Err(DecodeError::Layout(LayoutMismatch::Shape {
+                index,
+                expected: expected.clone(),
+                got,
+            }));
+        }
+        let size = expected.iter().try_fold(4usize, |n, &d| n.checked_mul(d));
+        let Some(data) = size.and_then(|n| r.get(..n)) else {
+            return Err(DecodeError::Malformed(format!(
+                "tensor {index}: truncated data"
+            )));
+        };
+        r = &r[data.len()..];
+        flat.extend(
+            data.chunks_exact(4)
+                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+        );
+    }
+    if !r.is_empty() {
+        return Err(DecodeError::Malformed(format!(
+            "{} bytes after the last tensor",
+            r.len()
+        )));
+    }
+    Ok(flat)
+}
+
+/// Splits `N` bytes off the front of `r`.
+fn take<const N: usize>(r: &mut &[u8], what: &str) -> Result<[u8; N], DecodeError> {
+    let (head, rest) = r
+        .split_first_chunk::<N>()
+        .ok_or_else(|| DecodeError::Malformed(format!("truncated {what}")))?;
+    *r = rest;
+    Ok(*head)
+}
+
 /// Writes the parameters of `model` to `path`.
 pub fn save_model<M: SessionModel>(model: &M, path: &Path) -> io::Result<()> {
     save_tensors(&model.parameters(), path)
@@ -38,71 +199,37 @@ pub fn save_model<M: SessionModel>(model: &M, path: &Path) -> io::Result<()> {
 /// Restores the parameters of `model` from `path`.
 ///
 /// # Errors
-/// Fails when the file is malformed or the parameter shapes do not match
-/// the model's.
+/// Fails, leaving every parameter untouched, when the file is malformed or
+/// its parameter shapes do not match the model's.
 pub fn load_model<M: SessionModel>(model: &M, path: &Path) -> io::Result<()> {
     load_tensors(&model.parameters(), path)
 }
 
 /// Writes a list of tensors to `path`.
 pub fn save_tensors(tensors: &[Tensor], path: &Path) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&(tensors.len() as u32).to_le_bytes())?;
-    for t in tensors {
-        let dims = t.shape().dims();
-        w.write_all(&(dims.len() as u32).to_le_bytes())?;
-        for &d in dims {
-            w.write_all(&(d as u64).to_le_bytes())?;
-        }
-        for v in t.data().iter() {
-            w.write_all(&v.to_le_bytes())?;
-        }
-    }
-    w.flush()
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(MAGIC);
+    bytes.extend_from_slice(&VERSION.to_le_bytes());
+    encode_tensors(tensors, &mut bytes);
+    std::fs::write(path, bytes)
 }
 
 /// Reads tensors from `path` into the given (already allocated) tensors.
+/// The whole file is decoded before any tensor is written.
+///
+/// # Errors
+/// Fails, leaving every tensor untouched, when the file is malformed or
+/// its shapes do not match `tensors`.
 pub fn load_tensors(tensors: &[Tensor], path: &Path) -> io::Result<()> {
-    let mut r = BufReader::new(File::open(path)?);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(bad("not an EMBSR checkpoint (bad magic)"));
-    }
-    let version = read_u32(&mut r)?;
+    let bytes = std::fs::read(path)?;
+    let mut r = bytes
+        .strip_prefix(MAGIC)
+        .ok_or_else(|| bad("not an EMBSR checkpoint (bad magic)"))?;
+    let version = u32::from_le_bytes(take(&mut r, "checkpoint version")?);
     if version != VERSION {
         return Err(bad(&format!("unsupported checkpoint version {version}")));
     }
-    let count = read_u32(&mut r)? as usize;
-    if count != tensors.len() {
-        return Err(bad(&format!(
-            "checkpoint has {count} tensors, model has {}",
-            tensors.len()
-        )));
-    }
-    for (i, t) in tensors.iter().enumerate() {
-        let rank = read_u32(&mut r)? as usize;
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            dims.push(read_u64(&mut r)? as usize);
-        }
-        if dims != t.shape().dims() {
-            return Err(bad(&format!(
-                "tensor {i}: checkpoint shape {dims:?} vs model shape {:?}",
-                t.shape().dims()
-            )));
-        }
-        let n: usize = dims.iter().product();
-        let mut data = vec![0.0f32; n];
-        let mut buf = [0u8; 4];
-        for v in &mut data {
-            r.read_exact(&mut buf)?;
-            *v = f32::from_le_bytes(buf);
-        }
-        t.set_data(&data);
-    }
+    import_params(tensors, &decode_tensors(r, &param_shapes(tensors))?);
     Ok(())
 }
 
@@ -243,11 +370,11 @@ fn read_vecs(r: &mut impl Read) -> io::Result<Vec<Vec<f32>>> {
     let count = read_u32(r)? as usize;
     let mut out = Vec::with_capacity(count.min(1 << 16));
     for _ in 0..count {
-        let len = read_u64(r)? as usize;
-        let mut v = vec![0.0f32; len.min(1 << 28)];
+        let len = read_u64(r)?;
         if len > (1 << 28) {
             return Err(bad("train-state vector length is implausibly large"));
         }
+        let mut v = vec![0.0f32; len as usize];
         let mut buf = [0u8; 4];
         for x in &mut v {
             r.read_exact(&mut buf)?;
@@ -341,6 +468,78 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
+    #[test]
+    fn one_tensor_checkpoint_has_the_golden_bytes() {
+        let path = tmp("golden");
+        save_tensors(&[Tensor::from_vec(vec![1.0, -2.0], &[1, 2])], &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(path).ok();
+        let mut want = b"EMBSRCKP".to_vec();
+        for word in [1u32, 1, 2] {
+            want.extend_from_slice(&word.to_le_bytes()); // version, count, rank
+        }
+        for dim in [1u64, 2] {
+            want.extend_from_slice(&dim.to_le_bytes());
+        }
+        want.extend_from_slice(&[0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x00, 0xc0]);
+        assert_eq!(bytes, want);
+    }
+
+    /// A tensor list with one tensor of the given rank word, dims and
+    /// payload, built by hand so it can lie.
+    fn hand_list(count: u32, rank: u32, dims: &[u64], payload: &[u8]) -> Vec<u8> {
+        let mut out = count.to_le_bytes().to_vec();
+        out.extend_from_slice(&rank.to_le_bytes());
+        for d in dims {
+            out.extend_from_slice(&d.to_le_bytes());
+        }
+        out.extend_from_slice(payload);
+        out
+    }
+
+    #[test]
+    fn hostile_tensor_lists_are_refused_without_panicking() {
+        let shapes = vec![vec![2, 2]];
+        let data = [0u8; 16];
+        let good = hand_list(1, 2, &[2, 2], &data);
+        assert_eq!(decode_tensors(&good, &shapes).unwrap(), vec![0.0; 4]);
+
+        // dims whose product overflows are compared, never multiplied
+        let huge = 1u64 << 62;
+        let err = decode_tensors(&hand_list(1, 2, &[huge, huge], &data), &shapes).unwrap_err();
+        assert_eq!(
+            err,
+            DecodeError::Layout(LayoutMismatch::Shape {
+                index: 0,
+                expected: vec![2, 2],
+                got: vec![huge, huge],
+            })
+        );
+        // a count or rank word far past the bytes that follow it
+        let err = decode_tensors(&hand_list(u32::MAX, 2, &[2, 2], &data), &shapes).unwrap_err();
+        assert_eq!(
+            err,
+            DecodeError::Layout(LayoutMismatch::Count {
+                expected: 1,
+                got: u32::MAX as usize,
+            })
+        );
+        let err = decode_tensors(&hand_list(1, u32::MAX, &[2, 2], &data), &shapes).unwrap_err();
+        assert!(matches!(err, DecodeError::Malformed(_)), "{err:?}");
+        // truncated payload, truncated header, trailing bytes
+        for bytes in [
+            &good[..good.len() - 1],
+            &good[..6],
+            &[good.as_slice(), &[0]].concat(),
+        ] {
+            let err = decode_tensors(bytes, &shapes).unwrap_err();
+            assert!(matches!(err, DecodeError::Malformed(_)), "{err:?}");
+        }
+        // a shape is checked before the data behind it is read
+        let err = decode_tensors(&hand_list(1, 1, &[4], &[]), &shapes).unwrap_err();
+        assert!(err.to_string().contains("[4]") && err.to_string().contains("[2, 2]"));
+    }
+
     fn sample_state() -> TrainState {
         TrainState {
             next_epoch: 3,
@@ -424,6 +623,20 @@ mod tests {
         let err = load_train_state(&path).unwrap_err();
         assert!(err.to_string().contains("magic"));
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn train_state_refuses_an_implausible_vector_length_before_allocating() {
+        let path = tmp("train_state_huge");
+        let mut bytes = STATE_MAGIC.to_vec();
+        bytes.extend_from_slice(&STATE_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 8 + 8 + 4 + 8 + 8 + 1]);
+        bytes.extend_from_slice(&1u32.to_le_bytes()); // one parameter vector…
+        bytes.extend_from_slice(&((1u64 << 28) + 1).to_le_bytes()); // …of 2^28+1 floats
+        std::fs::write(&path, bytes).unwrap();
+        let err = load_train_state(&path).unwrap_err();
+        std::fs::remove_file(path).ok();
+        assert!(err.to_string().contains("implausibly large"), "{err}");
     }
 
     #[test]

@@ -23,7 +23,8 @@ mod recommender;
 mod trainer;
 
 pub use checkpoint::{
-    load_model, load_tensors, load_train_state, save_model, save_tensors, save_train_state,
+    decode_tensors, encode_tensors, load_model, load_tensors, load_train_state, param_shapes,
+    save_model, save_tensors, save_train_state, DecodeError, LayoutMismatch,
 };
 pub use config::TrainConfig;
 pub use head::{Head, PreparedHead, Scorer};

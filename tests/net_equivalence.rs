@@ -13,9 +13,7 @@
 use embsr_baselines::{Gru4Rec, Narm};
 use embsr_core::{Embsr, EmbsrConfig};
 use embsr_net::{NetClient, Server, ServerConfig};
-use embsr_serve::{
-    top_k_of_row, EngineConfig, FrozenModel, Precision, ScoreBatch, SubmitOptions, TopK,
-};
+use embsr_serve::{top_k_of_row, EngineConfig, FrozenModel, ScoreBatch, SubmitOptions, TopK};
 use embsr_sessions::{MicroBehavior, Session};
 use embsr_train::{SessionModel, TrainConfig};
 
@@ -139,61 +137,56 @@ fn narm_networked_scores_are_bitwise_equal() {
 }
 
 #[test]
-fn reduced_precision_snapshots_cross_the_wire() {
-    // The deployment path for quantized models: the trainer side freezes at
-    // reduced precision and serializes (`snapshot_bytes`, the EMBSRSNP wire
-    // format at ~half the f32 bytes); the server side rebuilds a frozen
-    // model from the bytes and serves it behind TCP replicas. Because
-    // quantization happens once at freeze, every score served over the
-    // network must be bitwise identical to the trainer-side master.
-    for precision in [Precision::F16, Precision::Bf16] {
-        let max_len = TrainConfig::fast().max_session_len;
-        let mut cfg = EmbsrConfig::full(NUM_ITEMS, NUM_OPS, DIM);
-        cfg.seed = 42;
-        let master =
-            FrozenModel::freeze_with_precision(Embsr::new(cfg.clone()), max_len, precision);
-        let bytes = master.snapshot_bytes();
-        cfg.seed = 7; // the server's fresh init must be overwritten
-        let factory_cfg = cfg.clone();
-        let server_frozen =
-            FrozenModel::from_snapshot_bytes(Embsr::new(cfg), &bytes).expect("snapshot decodes");
-        assert_eq!(server_frozen.precision(), precision);
-        assert_eq!(server_frozen.max_session_len(), max_len);
-        let server = Server::start(
-            &server_frozen,
-            move || Embsr::new(factory_cfg.clone()),
-            ServerConfig {
-                replicas: 2,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("server starts");
-        let client = NetClient::connect(server.addr()).expect("connect");
-        let sessions = test_sessions(42);
-        for chunk in sessions.chunks(5).take(4) {
-            let expected = master.score_batch(chunk);
-            let resp = client
-                .score(
-                    &ScoreBatch {
-                        sessions: chunk.to_vec(),
-                    },
-                    SubmitOptions::default(),
-                )
-                .expect("networked scoring succeeds");
-            for ((session, want), got) in chunk.iter().zip(&expected).zip(&resp.scores) {
-                assert_eq!(want.len(), got.len());
-                for (i, (a, b)) in want.iter().zip(got).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{precision:?} session {} item {i}: master {a} != networked {b}",
-                        session.id,
-                    );
-                }
+fn snapshots_cross_the_wire() {
+    // The deployment path: the trainer side freezes and serializes
+    // (`snapshot_bytes`, the EMBSRSNP format); the server side rebuilds a
+    // frozen model from the bytes and serves it behind TCP replicas. Every
+    // score served over the network must be bitwise identical to the
+    // trainer-side master.
+    let max_len = TrainConfig::fast().max_session_len;
+    let mut cfg = EmbsrConfig::full(NUM_ITEMS, NUM_OPS, DIM);
+    cfg.seed = 42;
+    let master = FrozenModel::freeze(Embsr::new(cfg.clone()), max_len);
+    let bytes = master.snapshot_bytes();
+    cfg.seed = 7; // the server's fresh init must be overwritten
+    let factory_cfg = cfg.clone();
+    let server_frozen =
+        FrozenModel::from_snapshot_bytes(Embsr::new(cfg), &bytes).expect("snapshot decodes");
+    assert_eq!(server_frozen.max_session_len(), max_len);
+    let server = Server::start(
+        &server_frozen,
+        move || Embsr::new(factory_cfg.clone()),
+        ServerConfig {
+            replicas: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server starts");
+    let client = NetClient::connect(server.addr()).expect("connect");
+    let sessions = test_sessions(42);
+    for chunk in sessions.chunks(5).take(4) {
+        let expected = master.score_batch(chunk);
+        let resp = client
+            .score(
+                &ScoreBatch {
+                    sessions: chunk.to_vec(),
+                },
+                SubmitOptions::default(),
+            )
+            .expect("networked scoring succeeds");
+        for ((session, want), got) in chunk.iter().zip(&expected).zip(&resp.scores) {
+            assert_eq!(want.len(), got.len());
+            for (i, (a, b)) in want.iter().zip(got).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "session {} item {i}: master {a} != networked {b}",
+                    session.id,
+                );
             }
         }
-        server.shutdown();
     }
+    server.shutdown();
 }
 
 #[test]

@@ -1,5 +1,4 @@
-//! Serving-path equivalence, tiered by kernel dispatch and snapshot
-//! precision (DESIGN.md §11):
+//! Serving-path equivalence, tiered by kernel dispatch (DESIGN.md §11):
 //!
 //! * **Within any tier**, batched scoring must be **bitwise identical**
 //!   (`f32::to_bits`) to per-session scoring at the same tier: GEMM rows
@@ -11,31 +10,33 @@
 //! * The **packed tier** (`KernelTier::Packed`) stays bitwise identical to
 //!   the per-session taped `Recommender::scores` path — the historical
 //!   contract, still available by `set_tier` for audit runs.
-//! * The **vectorized tier** (`KernelTier::Simd`, the serving default) and
-//!   the **reduced-precision snapshots** (f16/bf16) relax to an
-//!   epsilon-gated score equivalence plus **exact Hit@20 / MRR@20 metric
-//!   identity** against the f32 scalar-reference taped path running the
-//!   deployed weights: lane-split reductions may move a logit by a few
-//!   ULPs, but recommendations must not move at all. Quantization rounds
-//!   the weights exactly once, at freeze — so the deployed weights for a
-//!   reduced-precision snapshot *are* the quantized values, the taped
-//!   reference runs those same values (`import_params` from the snapshot),
-//!   and the quantization loss itself is gated separately with a
-//!   precision-scaled epsilon against the pre-quantization f32 weights
-//!   (rank identity against pre-quantization weights is not a meaningful
-//!   contract: adjacent logits of any model can sit closer than a bf16
-//!   step, so some rank flip is unavoidable and the right gate for the
-//!   rounding is magnitude, not order).
+//! * The **vectorized tier** (`KernelTier::Simd`, the serving default)
+//!   relaxes to an epsilon-gated score equivalence plus **exact Hit@20 /
+//!   MRR@20 metric identity** against the scalar-reference taped path
+//!   running the same weights: lane-split reductions may move a logit by a
+//!   few ULPs, but recommendations must not move at all.
+//! * Every contract runs on two session pools: one macro step per event,
+//!   and ragged micro-operation sub-sequences of length 1–4.
+//! * A snapshot whose tensor list does not fit the serving model is
+//!   refused by shape by every reader, even at the same weight count, and
+//!   serving stays on the active weights bitwise.
 
 use embsr_baselines::{
     Bert4Rec, Fpmc, GcSan, Gru4Rec, Hup, MkmSr, Narm, Rib, SgnnHn, SrGnn, Stamp,
 };
 use embsr_core::{Embsr, EmbsrConfig};
 use embsr_eval::{hit_at_k, rank_of_target, reciprocal_rank_at_k};
-use embsr_serve::{top_k_of_row, FrozenModel, KernelTier, Precision, ReprCache};
+use embsr_net::{NetClient, NetError, Server, ServerConfig};
+use embsr_serve::{
+    serve, top_k_of_row, EngineConfig, FrozenModel, KernelTier, ReprCache, ScoreBatch,
+    SubmitOptions, SwapError,
+};
 use embsr_sessions::{MicroBehavior, Session};
-use embsr_tensor::{import_params, inference_mode, kernels};
-use embsr_train::{truncate_session, NeuralRecommender, Recommender, SessionModel, TrainConfig};
+use embsr_tensor::{import_params, inference_mode, kernels, Rng, Tensor};
+use embsr_train::{
+    param_shapes, truncate_session, Head, LayoutMismatch, NeuralRecommender, Recommender,
+    SessionModel, TrainConfig,
+};
 
 const SEEDS: [u64; 3] = [11, 42, 1337];
 const RAGGED_BATCHES: [usize; 5] = [1, 3, 4, 5, 32];
@@ -46,6 +47,8 @@ const DIM: usize = 16;
 
 /// Variable-length sessions covering the ragged batch sizes with room to
 /// spare; lengths vary so batches mix short and long prefixes.
+/// Consecutive events never share an item, so every macro step carries one
+/// micro-operation.
 fn test_sessions(seed: u64) -> Vec<Session> {
     (0..64u64)
         .map(|i| {
@@ -64,6 +67,15 @@ fn test_sessions(seed: u64) -> Vec<Session> {
         .collect()
 }
 
+/// The pool every serving contract runs on: [`test_sessions`] followed by
+/// [`micro_sessions`], so each contract also holds on ragged op
+/// sub-sequences.
+fn contract_sessions(seed: u64) -> Vec<Session> {
+    let mut sessions = test_sessions(seed);
+    sessions.extend(micro_sessions(seed));
+    sessions
+}
+
 /// Asserts the packed-tier frozen batched path reproduces the per-session
 /// taped path bit for bit, across every ragged batch size.
 fn assert_packed_bitwise<M: SessionModel>(model: M, reference: M, seed: u64) {
@@ -71,7 +83,7 @@ fn assert_packed_bitwise<M: SessionModel>(model: M, reference: M, seed: u64) {
     let mut frozen = FrozenModel::freeze(model, max_len);
     frozen.set_tier(KernelTier::Packed);
     let rec = NeuralRecommender::new(reference, TrainConfig::fast());
-    let sessions = test_sessions(seed);
+    let sessions = contract_sessions(seed);
     for &batch in &RAGGED_BATCHES {
         for chunk in sessions.chunks(batch) {
             let batched = frozen.score_batch(chunk);
@@ -97,7 +109,7 @@ fn assert_packed_bitwise<M: SessionModel>(model: M, reference: M, seed: u64) {
 /// Asserts batched == single **bitwise at the frozen model's own tier**
 /// (the serving default, vectorized), across every ragged batch size.
 fn assert_batch_matches_single<M: SessionModel>(frozen: &FrozenModel<M>, seed: u64) {
-    let sessions = test_sessions(seed);
+    let sessions = contract_sessions(seed);
     for &batch in &RAGGED_BATCHES {
         for chunk in sessions.chunks(batch) {
             let batched = frozen.score_batch(chunk);
@@ -121,8 +133,7 @@ fn assert_batch_matches_single<M: SessionModel>(frozen: &FrozenModel<M>, seed: u
 }
 
 /// The relaxed serving contract: the taped scalar-reference path is loaded
-/// with the frozen model's **deployed** weights (for full-precision freezes
-/// that import is a no-op), then every served score must sit within `tol`
+/// with the frozen model's weights, then every served score must sit within `tol`
 /// of the reference and the session-level Hit@20 / MRR@20 contributions
 /// (target = the session's last item, pessimistic tie handling) must be
 /// **exactly** equal — the serving stack may not move a recommendation.
@@ -135,7 +146,7 @@ fn assert_epsilon_and_metric_identity<M: SessionModel>(
 ) {
     embsr_tensor::import_params(&reference.parameters(), frozen.snapshot());
     let rec = NeuralRecommender::new(reference, TrainConfig::fast());
-    let sessions = test_sessions(seed);
+    let sessions = contract_sessions(seed);
     let mut hits = (0.0f64, 0.0f64);
     let mut mrrs = (0.0f64, 0.0f64);
     for chunk in sessions.chunks(8) {
@@ -196,47 +207,6 @@ fn embsr_pair(seed: u64) -> (Embsr, Embsr) {
 }
 
 // ---------------------------------------------------------------------------
-// Reduced-precision snapshots: the serving stack keeps epsilon + exact
-// metric identity on the deployed (quantized) weights, and the quantization
-// loss itself stays within a precision-scaled epsilon of the original f32
-// weights
-// ---------------------------------------------------------------------------
-
-/// Precision grids and their quantization-loss tolerances vs the original
-/// f32 weights. bf16 keeps 8 significand bits (relative step 2⁻⁸), f16
-/// keeps 11 (2⁻¹¹); the tolerances leave headroom for error accumulating
-/// over the `d`-deep reductions and nonlinearities.
-const PRECISION_GATES: [(Precision, f32); 2] = [(Precision::F16, 2e-2), (Precision::Bf16, 2e-1)];
-
-/// Gates the quantization loss: frozen (quantized) scores must stay within
-/// `tol` of the taped reference running the **original f32** weights.
-fn assert_quantization_epsilon<M: SessionModel>(
-    frozen: &FrozenModel<M>,
-    original: M,
-    seed: u64,
-    tol: f32,
-    label: &str,
-) {
-    let rec = NeuralRecommender::new(original, TrainConfig::fast());
-    for chunk in test_sessions(seed).chunks(8) {
-        let batched = frozen.score_batch(chunk);
-        for (session, row) in chunk.iter().zip(&batched) {
-            let single = rec.scores(session);
-            for (i, (a, b)) in row.iter().zip(&single).enumerate() {
-                let bound = tol * b.abs().max(1.0);
-                assert!(
-                    (a - b).abs() <= bound,
-                    "{label} model {} seed {seed} session {} item {i}: \
-                     quantization moved score |{a} - {b}| > {bound}",
-                    frozen.name(),
-                    session.id,
-                );
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Session-repr cache: cached scoring is bitwise-identical to uncached, cold
 // and warm
 // ---------------------------------------------------------------------------
@@ -248,7 +218,7 @@ fn assert_quantization_epsilon<M: SessionModel>(
 /// warm pass must actually hit, or the test is vacuous.
 fn assert_cached_bitwise<M: SessionModel>(frozen: &FrozenModel<M>, seed: u64) {
     let cache = ReprCache::new(256);
-    let sessions = test_sessions(seed);
+    let sessions = contract_sessions(seed);
     for pass in ["cold", "warm"] {
         for &batch in &RAGGED_BATCHES {
             for chunk in sessions.chunks(batch) {
@@ -299,7 +269,7 @@ fn assert_prepared_head_matches_model<M: SessionModel>(
         |f: &dyn Fn() -> Vec<f32>| kernels::with_tier(frozen.tier(), || inference_mode(f));
     let cache = ReprCache::new(256);
     let v = frozen.num_items();
-    for chunk in test_sessions(seed).chunks(5) {
+    for chunk in contract_sessions(seed).chunks(5) {
         let truncated: Vec<Session> = chunk
             .iter()
             .map(|s| truncate_session(s, frozen.max_session_len()))
@@ -342,8 +312,7 @@ fn assert_prepared_head_matches_model<M: SessionModel>(
 
 /// Drives one model family through every event that rebuilds a frozen
 /// replica's prepared head: a fresh replica from a snapshot, a swap to
-/// another version, tier changes both ways, and reduced-precision freezes
-/// and swaps.
+/// another version, and tier changes both ways.
 fn prepared_head_survives_rebuilds<M: SessionModel>(make: impl Fn(u64) -> M, label: &str) {
     let max_len = TrainConfig::fast().max_session_len;
     for seed in SEEDS {
@@ -359,7 +328,7 @@ fn prepared_head_survives_rebuilds<M: SessionModel>(make: impl Fn(u64) -> M, lab
 
         let next = FrozenModel::freeze(make(seed + 2), max_len);
         replica
-            .swap_snapshot(next.snapshot(), max_len, Precision::F32)
+            .swap_snapshot(next.snapshot(), max_len)
             .expect("same layout");
         assert_prepared_head_matches_model(&replica, &reference, seed, &format!("{label} swapped"));
 
@@ -370,20 +339,6 @@ fn prepared_head_survives_rebuilds<M: SessionModel>(make: impl Fn(u64) -> M, lab
                 &reference,
                 seed,
                 &format!("{label} set_tier"),
-            );
-        }
-
-        for (precision, _) in PRECISION_GATES {
-            let quantized = FrozenModel::freeze_with_precision(make(seed + 3), max_len, precision);
-            assert_prepared_head_matches_model(&quantized, &reference, seed, precision.name());
-            replica
-                .swap_snapshot(quantized.snapshot(), max_len, precision)
-                .expect("same layout");
-            assert_prepared_head_matches_model(
-                &replica,
-                &reference,
-                seed,
-                &format!("{label} swapped to {}", precision.name()),
             );
         }
     }
@@ -421,20 +376,6 @@ fn simd_contract<M: SessionModel>(make: impl Fn(u64) -> M) {
     }
 }
 
-/// The f16/bf16 snapshots keep the epsilon and exact metric identity on
-/// the deployed weights, plus the quantization epsilon against the
-/// pre-quantization weights, for every seed.
-fn reduced_precision_contract<M: SessionModel>(make: impl Fn(u64) -> M) {
-    let max_len = TrainConfig::fast().max_session_len;
-    for seed in SEEDS {
-        for (precision, tol) in PRECISION_GATES {
-            let frozen = FrozenModel::freeze_with_precision(make(seed), max_len, precision);
-            assert_epsilon_and_metric_identity(&frozen, make(seed), seed, 1e-4, precision.name());
-            assert_quantization_epsilon(&frozen, make(seed), seed, tol, precision.name());
-        }
-    }
-}
-
 /// Cached scores equal uncached ones cold and warm, for every seed.
 fn cache_contract<M: SessionModel>(make: impl Fn(u64) -> M) {
     let max_len = TrainConfig::fast().max_session_len;
@@ -449,7 +390,6 @@ fn serving_contracts<M: SessionModel>(make: impl Fn(u64) -> M, label: &str) {
     packed_contract(&make);
     batch_contract(&make);
     simd_contract(&make);
-    reduced_precision_contract(&make);
     cache_contract(&make);
     prepared_head_survives_rebuilds(make, label);
 }
@@ -497,21 +437,6 @@ fn gru4rec_simd_tier_keeps_epsilon_and_metrics() {
 #[test]
 fn narm_simd_tier_keeps_epsilon_and_metrics() {
     simd_contract(narm);
-}
-
-#[test]
-fn embsr_reduced_precision_keeps_epsilon_and_metrics() {
-    reduced_precision_contract(|seed| embsr(EmbsrConfig::full, seed));
-}
-
-#[test]
-fn gru4rec_reduced_precision_keeps_epsilon_and_metrics() {
-    reduced_precision_contract(gru4rec);
-}
-
-#[test]
-fn narm_reduced_precision_keeps_epsilon_and_metrics() {
-    reduced_precision_contract(narm);
 }
 
 #[test]
@@ -684,9 +609,8 @@ fn assert_repr_batch_rows_are_repr_rows(cfg: &EmbsrConfig, seed: u64, tier: Kern
     let max_len = TrainConfig::fast().max_session_len;
     let mut frozen = FrozenModel::freeze(Embsr::new(cfg.clone()), max_len);
     frozen.set_tier(tier);
-    let sessions: Vec<Session> = test_sessions(seed)
+    let sessions: Vec<Session> = contract_sessions(seed)
         .iter()
-        .chain(&micro_sessions(seed))
         .map(|s| truncate_session(s, max_len))
         .collect();
     let on_tier =
@@ -870,61 +794,209 @@ fn repr_cache_isolates_versions_and_packed_tier_stays_bitwise() {
 #[test]
 fn snapshot_replicas_score_identically() {
     // The engine's worker replicas are built this way: fresh model +
-    // imported snapshot. They must score exactly like the original.
+    // imported snapshot. So are replicas rebuilt from the snapshot's bytes,
+    // in memory and through disk. They must score exactly like the original.
     let mut cfg = EmbsrConfig::full(NUM_ITEMS, NUM_OPS, DIM);
     cfg.seed = 42;
     let frozen = FrozenModel::freeze(Embsr::new(cfg.clone()), 40);
     cfg.seed = 7; // different init: the snapshot must overwrite it
-    let replica = FrozenModel::from_snapshot(Embsr::new(cfg), frozen.snapshot(), 40);
+    let path = std::env::temp_dir().join(format!("embsr_replica_{}.snp", std::process::id()));
+    frozen.save(&path).expect("save");
+    let replicas = [
+        FrozenModel::from_snapshot(Embsr::new(cfg.clone()), frozen.snapshot(), 40),
+        FrozenModel::from_snapshot_bytes(Embsr::new(cfg.clone()), &frozen.snapshot_bytes())
+            .expect("snapshot bytes decode"),
+        FrozenModel::load(Embsr::new(cfg), &path).expect("snapshot file loads"),
+    ];
+    std::fs::remove_file(&path).ok();
     let sessions = test_sessions(42);
     let a = frozen.score_batch(&sessions[..8]);
-    let b = replica.score_batch(&sessions[..8]);
-    for (ra, rb) in a.iter().zip(&b) {
-        for (x, y) in ra.iter().zip(rb) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-}
-
-#[test]
-fn reduced_precision_replicas_score_identically() {
-    // Quantization happens once, at freeze: a replica rebuilt from the
-    // serialized reduced-precision snapshot scores bitwise like the master.
-    for (precision, _) in PRECISION_GATES {
-        let mut cfg = EmbsrConfig::full(NUM_ITEMS, NUM_OPS, DIM);
-        cfg.seed = 42;
-        let frozen = FrozenModel::freeze_with_precision(Embsr::new(cfg.clone()), 40, precision);
-        cfg.seed = 7;
-        let bytes = frozen.snapshot_bytes();
-        let replica = FrozenModel::from_snapshot_bytes(Embsr::new(cfg), &bytes)
-            .expect("snapshot bytes decode");
-        assert_eq!(replica.precision(), precision);
-        let sessions = test_sessions(42);
-        let a = frozen.score_batch(&sessions[..8]);
+    for (k, replica) in replicas.iter().enumerate() {
+        assert_eq!(replica.max_session_len(), 40);
         let b = replica.score_batch(&sessions[..8]);
         for (ra, rb) in a.iter().zip(&b) {
-            for (x, y) in ra.iter().zip(rb) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{precision:?}");
-            }
+            assert_eq!(bits(ra), bits(rb), "replica {k}");
         }
     }
 }
 
-#[test]
-fn reduced_precision_snapshots_are_half_the_size() {
-    let mut cfg = EmbsrConfig::full(NUM_ITEMS, NUM_OPS, DIM);
-    cfg.seed = 11;
-    let full = FrozenModel::freeze(Embsr::new(cfg.clone()), 40).snapshot_bytes().len();
-    for (precision, _) in PRECISION_GATES {
-        let reduced = FrozenModel::freeze_with_precision(Embsr::new(cfg.clone()), 40, precision)
-            .snapshot_bytes()
-            .len();
-        let ratio = full as f64 / reduced as f64;
-        assert!(
-            ratio > 1.9 && ratio < 2.1,
-            "{precision:?}: {full} vs {reduced} bytes ({ratio:.2}×)"
-        );
+// ---------------------------------------------------------------------------
+// Snapshots are checked by shape: a tensor list that does not fit the
+// serving model is refused by every reader, even at the same weight count
+// ---------------------------------------------------------------------------
+
+/// The first tensor whose shape differs between a snapshot's parameter
+/// list and the receiver's, as the refusal must name it.
+fn first_shape_difference(snapshot: &[Tensor], receiver: &[Tensor]) -> LayoutMismatch {
+    assert_eq!(snapshot.len(), receiver.len(), "same tensor count");
+    let (got, expected) = (param_shapes(snapshot), param_shapes(receiver));
+    let index = (0..expected.len())
+        .find(|&i| got[i] != expected[i])
+        .expect("the layouts differ");
+    LayoutMismatch::Shape {
+        index,
+        expected: expected[index].clone(),
+        got: got[index].iter().map(|&d| d as u64).collect(),
     }
+}
+
+/// Asserts that snapshot `bytes`, which carry as many weights as `frozen`
+/// but another layout, are refused with `mismatch` by
+/// `FrozenModel::from_snapshot_bytes`, by `FrozenModel::load`, by the
+/// engine's `Client::stage_snapshot` and over the wire, and that the engine
+/// and the server keep serving `frozen`'s weights bitwise after each
+/// refusal. `case` names the temporary snapshot file.
+fn assert_refused_by_shape_everywhere<M, F>(
+    case: &str,
+    frozen: &FrozenModel<M>,
+    factory: F,
+    bytes: &[u8],
+    mismatch: &LayoutMismatch,
+) where
+    M: SessionModel,
+    F: Fn() -> M + Send + Sync + 'static,
+{
+    let want = mismatch.to_string();
+    let err = FrozenModel::from_snapshot_bytes(factory(), bytes)
+        .err()
+        .expect("from_snapshot_bytes refuses the snapshot");
+    assert_eq!(err.to_string(), want, "from_snapshot_bytes");
+
+    let path = std::env::temp_dir().join(format!("embsr_{case}_{}.snp", std::process::id()));
+    std::fs::write(&path, bytes).expect("write snapshot");
+    let err = FrozenModel::load(factory(), &path)
+        .err()
+        .expect("load refuses the snapshot");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(err.to_string(), want, "FrozenModel::load");
+
+    let sessions = test_sessions(5)[..8].to_vec();
+    let expected = frozen.score_batch(&sessions);
+    let assert_active = |scores: &[Vec<f32>], version: u64, what: &str| {
+        assert_eq!(version, 1, "{what}: still on the boot version");
+        for (e, g) in expected.iter().zip(scores) {
+            assert_eq!(bits(e), bits(g), "{what}: served rows");
+        }
+    };
+    serve(frozen, &factory, EngineConfig::default(), |client| {
+        assert_eq!(
+            client.stage_snapshot(2, bytes),
+            Err(SwapError::WrongLayout(mismatch.clone())),
+            "Client::stage_snapshot"
+        );
+        assert_eq!(client.status().staged, vec![1], "nothing staged");
+        let resp = client.score(ScoreBatch {
+            sessions: sessions.clone(),
+        });
+        assert_active(&resp.scores, resp.model_version, "engine");
+    });
+
+    let server = Server::start(
+        frozen,
+        factory,
+        ServerConfig {
+            replicas: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server starts");
+    let client = NetClient::connect(server.addr()).expect("connect");
+    match client.load_snapshot(2, bytes) {
+        Err(NetError::BadRequest(msg)) => assert!(msg.contains(&want), "wire: {msg}"),
+        other => panic!("wire: a wrong layout must be a typed refusal, got {other:?}"),
+    }
+    let resp = client
+        .score(
+            &ScoreBatch {
+                sessions: sessions.clone(),
+            },
+            SubmitOptions::default(),
+        )
+        .expect("serving is unaffected");
+    assert_active(&resp.scores, resp.model_version, "wire");
+    server.shutdown();
+}
+
+#[test]
+fn snapshot_of_same_count_other_vocabularies_is_refused_by_shape() {
+    // At d = 48, |V| 8192 with 10 operations and |V| 8214 with 9 hold the
+    // same number of weights: the item table grows by 22 rows while the
+    // operation embeddings, the |O|² dyadic relation table and the
+    // operation weights shrink.
+    let source = Embsr::new(EmbsrConfig::full(8192, 10, 48));
+    let serving = EmbsrConfig::full(8214, 9, 48);
+    let receiver = Embsr::new(serving.clone());
+    assert_eq!(
+        embsr_tensor::flat_len(&source.parameters()),
+        embsr_tensor::flat_len(&receiver.parameters()),
+        "the two vocabularies must hold the same number of weights"
+    );
+    let mismatch = first_shape_difference(&source.parameters(), &receiver.parameters());
+    let bytes = FrozenModel::freeze(source, 40).snapshot_bytes();
+    let frozen = FrozenModel::freeze(receiver, 40);
+    assert_refused_by_shape_everywhere(
+        "same_count",
+        &frozen,
+        move || Embsr::new(serving.clone()),
+        &bytes,
+        &mismatch,
+    );
+}
+
+/// EMBSR with two of its parameters listed in each other's place, as a
+/// refactor that reorders `parameters()` would list them.
+struct Swapped {
+    model: Embsr,
+    pair: (usize, usize),
+}
+
+impl SessionModel for Swapped {
+    fn name(&self) -> &str {
+        self.model.name()
+    }
+    fn num_items(&self) -> usize {
+        self.model.num_items()
+    }
+    fn parameters(&self) -> Vec<Tensor> {
+        let mut params = self.model.parameters();
+        params.swap(self.pair.0, self.pair.1);
+        params
+    }
+    fn repr(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
+        self.model.repr(session, training, rng)
+    }
+    fn head(&self) -> Head {
+        self.model.head()
+    }
+}
+
+#[test]
+fn snapshot_with_two_tensors_swapped_is_refused_by_shape() {
+    let cfg = EmbsrConfig::full(NUM_ITEMS, NUM_OPS, DIM);
+    let serving = Embsr::new(cfg.clone());
+    let shapes = param_shapes(&serving.parameters());
+    let other = (1..shapes.len())
+        .find(|&j| shapes[j] != shapes[0])
+        .expect("EMBSR has differently shaped parameters");
+    let swapped = Swapped {
+        model: embsr(EmbsrConfig::full, 42),
+        pair: (0, other),
+    };
+    let mismatch = first_shape_difference(&swapped.parameters(), &serving.parameters());
+    assert_eq!(
+        embsr_tensor::flat_len(&swapped.parameters()),
+        embsr_tensor::flat_len(&serving.parameters()),
+        "a permutation keeps the weight count"
+    );
+    let bytes = FrozenModel::freeze(swapped, 40).snapshot_bytes();
+    let frozen = FrozenModel::freeze(serving, 40);
+    assert_refused_by_shape_everywhere(
+        "swapped",
+        &frozen,
+        move || Embsr::new(cfg.clone()),
+        &bytes,
+        &mismatch,
+    );
 }
 
 #[test]
