@@ -559,8 +559,12 @@ fn main() {
         if let Err(e) = std::fs::create_dir_all(&args.out_dir) {
             embsr_obs::warn!(target: "exp::load", "out dir: {e}");
         }
+        let git_revision = JsonValue::String(embsr_obs::manifest::git_revision());
+        let cores_available = JsonValue::Number(embsr_obs::manifest::cores_available() as f64);
         let row_file = JsonValue::object(vec![
             ("experiment", JsonValue::String("load_bench".into())),
+            ("git_revision", git_revision.clone()),
+            ("cores_available", cores_available.clone()),
             ("rows", JsonValue::Array(phase_rows.clone())),
         ]);
         let path = args.out_dir.join("load.json");
@@ -569,6 +573,8 @@ fn main() {
         }
         let table = JsonValue::object(vec![
             ("bench", JsonValue::String("net".into())),
+            ("git_revision", git_revision),
+            ("cores_available", cores_available),
             ("quick", JsonValue::Bool(quick)),
             ("seed", JsonValue::Number(args.seed as f64)),
             ("vocab", JsonValue::Number(vocab as f64)),

@@ -338,6 +338,8 @@ fn main() {
         ("best_phase_sum_error", JsonValue::Number(best_err)),
         ("phase_sum_tolerance", JsonValue::Number(PHASE_SUM_TOLERANCE)),
     ]);
+    let git_revision = JsonValue::String(embsr_obs::manifest::git_revision());
+    let cores_available = JsonValue::Number(embsr_obs::manifest::cores_available() as f64);
     let report = JsonValue::object(vec![
         ("experiment", JsonValue::String("profile".into())),
         ("quick", JsonValue::Bool(quick)),
@@ -345,14 +347,8 @@ fn main() {
         ("vocab", JsonValue::Number(vocab as f64)),
         ("dim", JsonValue::Number(dim as f64)),
         ("engine_workers", JsonValue::Number(workers as f64)),
-        (
-            "cores_available",
-            JsonValue::Number(embsr_obs::manifest::cores_available() as f64),
-        ),
-        (
-            "git_revision",
-            JsonValue::String(embsr_obs::manifest::git_revision()),
-        ),
+        ("cores_available", cores_available.clone()),
+        ("git_revision", git_revision.clone()),
         ("trace", trace_summary),
         (
             "profile",
@@ -373,6 +369,8 @@ fn main() {
     let slo_all_met = slo_reports.iter().all(|r| r.met);
     let table = JsonValue::object(vec![
         ("bench", JsonValue::String("obs".into())),
+        ("git_revision", git_revision),
+        ("cores_available", cores_available),
         ("quick", JsonValue::Bool(quick)),
         ("seed", JsonValue::Number(args.seed as f64)),
         ("trace_records", JsonValue::Number(records.len() as f64)),

@@ -589,6 +589,8 @@ impl Server {
                     // scores on the source model's kernel tier
                     let mut frozen =
                         FrozenModel::from_snapshot(factory(), &snapshot, max_session_len);
+                    // the engine exports its own copy from the replica
+                    drop(snapshot);
                     frozen.set_tier(tier);
                     serve(&frozen, move || factory(), engine, |client| {
                         // Publish the engine, then serve until the server

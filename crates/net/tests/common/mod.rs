@@ -1,5 +1,5 @@
 //! Shared scaffolding for the networked-serving test suites: a minimal
-//! deterministic model, session builders, and a thread-count probe for the
+//! deterministic model, session builders, and a server-thread probe for the
 //! no-leak assertions.
 
 // Each test binary uses its own subset of these helpers.
@@ -83,16 +83,37 @@ pub fn session_pool(n: usize, num_items: u32, seed: u64) -> Vec<Session> {
         .collect()
 }
 
-/// Live threads of this process, from `/proc/self/status`. Falls back to 1
-/// (harmlessly weakening the leak assertion) off procfs.
-pub fn live_threads() -> usize {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("Threads:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|n| n.parse().ok())
-        })
-        .unwrap_or(1)
+/// Threads of this process named `embsr-net…`, from
+/// `/proc/self/task/*/comm`: the server's and client's named threads plus
+/// the unnamed engine and connection workers they spawn, which inherit
+/// their spawner's name. Other tests' and the harness's threads are not
+/// counted. Empty off procfs (harmlessly weakening the leak assertion).
+fn server_threads() -> Vec<String> {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return Vec::new();
+    };
+    tasks
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim_end().to_string())
+        .filter(|name| name.starts_with("embsr-net"))
+        .collect()
+}
+
+/// The `embsr-net…` threads still alive once every exiting one is gone.
+///
+/// A joined thread can stay listed for a moment: `std::thread::scope`
+/// returns once its threads' closures finish, before the OS threads exit,
+/// and a join returns before the kernel drops the exited task from
+/// `/proc`. About one shutdown in eighty left one `embsr-net-conn` entry
+/// that was gone a millisecond later. Polls for up to five seconds; a
+/// leaked thread, which never exits, is still reported.
+pub fn lingering_server_threads() -> Vec<String> {
+    for _ in 0..5_000 {
+        let left = server_threads();
+        if left.is_empty() {
+            return left;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    server_threads()
 }

@@ -18,7 +18,7 @@ mod common;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use common::{guard, live_threads, sess, session_pool, ToyModel};
+use common::{guard, lingering_server_threads, sess, session_pool, ToyModel};
 use embsr_net::{NetClient, NetError, Server, ServerConfig};
 use embsr_obs::trace::{self, SpanRecord};
 use embsr_obs::{MemorySink, Stopwatch};
@@ -280,7 +280,6 @@ fn server_drop_mid_request_is_a_clean_connection_error() {
 #[test]
 fn shutdown_joins_every_thread_no_leaks() {
     let _g = guard();
-    let before = live_threads();
     for round in 0..3 {
         let (server, frozen) = start_server(3, 13 + round);
         let sessions = session_pool(12, NUM_ITEMS as u32, round);
@@ -302,19 +301,15 @@ fn shutdown_joins_every_thread_no_leaks() {
         server.shutdown();
     }
     // Accept/replica/engine-worker/handler threads are all joined by
-    // shutdown(); three full server lifecycles must leave the process at
-    // its baseline thread count (small slack for the test runtime itself).
-    let after = live_threads();
-    assert!(
-        after <= before + 1,
-        "thread leak: {before} before, {after} after three server lifecycles"
-    );
+    // shutdown(), and each round's client joined its reader when dropped:
+    // three full server lifecycles leave no server thread behind.
+    let left = lingering_server_threads();
+    assert!(left.is_empty(), "thread leak after three lifecycles: {left:?}");
 }
 
 #[test]
 fn replica_that_fails_to_build_fails_start_typed_without_leaking() {
     let _g = guard();
-    let before = live_threads();
     let frozen = FrozenModel::freeze(ToyModel::new(NUM_ITEMS, 3), 16);
     // Every replica's model build panics before its engine can publish.
     let started = Server::start(
@@ -330,6 +325,6 @@ fn replica_that_fails_to_build_fails_start_typed_without_leaking() {
         Err(other) => panic!("expected Unavailable, got {other}"),
         Ok(_) => panic!("a server whose replicas cannot start must not start"),
     }
-    let after = live_threads();
-    assert!(after <= before + 1, "thread leak: {before} before, {after} after");
+    let left = lingering_server_threads();
+    assert!(left.is_empty(), "thread leak after a failed start: {left:?}");
 }

@@ -31,7 +31,12 @@ use embsr_sessions::Session;
 
 const NUM_ITEMS: usize = 24;
 
-fn start_server(replicas: usize, seed: u64, repr_cache: usize) -> (Server, FrozenModel<ToyModel>) {
+fn start_server(
+    replicas: usize,
+    workers: usize,
+    seed: u64,
+    repr_cache: usize,
+) -> (Server, FrozenModel<ToyModel>) {
     let frozen = FrozenModel::freeze(ToyModel::new(NUM_ITEMS, seed), 16);
     let server = Server::start(
         &frozen,
@@ -39,7 +44,7 @@ fn start_server(replicas: usize, seed: u64, repr_cache: usize) -> (Server, Froze
         ServerConfig {
             replicas,
             engine: EngineConfig {
-                workers: 1,
+                workers,
                 max_batch: 16,
                 flush_deadline_us: 200,
                 repr_cache,
@@ -73,11 +78,19 @@ fn assert_bitwise(expected: &[Vec<f32>], got: &[Vec<f32>], what: &str) {
 #[test]
 fn hot_swap_under_load_swaps_without_drain_or_wrong_answers() {
     let _g = guard();
+    // With two workers per replica a flush cuts its burst in two, so one
+    // request's sessions can straddle the activation.
+    for workers in [1, 2] {
+        swap_under_load(workers);
+    }
+}
+
+fn swap_under_load(workers: usize) {
     let mem = MemorySink::new();
     embsr_obs::add_sink(Arc::new(mem.clone()));
     trace::set_enabled(true);
 
-    let (server, frozen_a) = start_server(2, 7, 0);
+    let (server, frozen_a) = start_server(2, workers, 7, 0);
     let (snap_b, frozen_b) = snapshot_for(8);
     let sessions = session_pool(60, NUM_ITEMS as u32, 3);
 
@@ -122,8 +135,9 @@ fn hot_swap_under_load_swaps_without_drain_or_wrong_answers() {
                             // the two versions — never a third value. The
                             // tag is the NEWEST contributing version, so a
                             // mid-swap batch tagged 2 may mix v1 and v2
-                            // rows across replicas, but a tag of 1
-                            // guarantees the whole batch is pre-swap.
+                            // rows across replicas or across the batches a
+                            // flush cut it into, but a tag of 1 guarantees
+                            // the whole batch is pre-swap.
                             match resp.model_version {
                                 1 => {
                                     saw_v1.fetch_add(1, Ordering::Relaxed);
@@ -169,16 +183,16 @@ fn hot_swap_under_load_swaps_without_drain_or_wrong_answers() {
     embsr_obs::clear_sinks();
 
     let total = 4 * 12;
-    assert_eq!(wrong.load(Ordering::Relaxed), 0, "zero wrong answers");
-    assert_eq!(failed.load(Ordering::Relaxed), 0, "hot-swap drops nothing");
+    assert_eq!(wrong.load(Ordering::Relaxed), 0, "{workers} worker(s): zero wrong answers");
+    assert_eq!(failed.load(Ordering::Relaxed), 0, "{workers} worker(s): hot-swap drops nothing");
     assert_eq!(
         saw_v1.load(Ordering::Relaxed) + saw_v2.load(Ordering::Relaxed),
         total,
-        "every request answered and tagged"
+        "{workers} worker(s): every request answered and tagged"
     );
     assert!(
         saw_v2.load(Ordering::Relaxed) > 0,
-        "the new version served some of the load"
+        "{workers} worker(s): the new version served some of the load"
     );
 
     // Post-swap traffic is wholly on version 2.
@@ -224,7 +238,7 @@ fn hot_swap_under_load_swaps_without_drain_or_wrong_answers() {
 #[test]
 fn bad_snapshots_are_refused_and_serving_stays_on_the_active_version() {
     let _g = guard();
-    let (server, frozen) = start_server(2, 19, 0);
+    let (server, frozen) = start_server(2, 1, 19, 0);
     let client = NetClient::connect(server.addr()).expect("connect");
 
     // Garbage bytes: not an EMBSRSNP container at all.
@@ -284,7 +298,7 @@ fn bad_snapshots_are_refused_and_serving_stays_on_the_active_version() {
 #[test]
 fn status_reports_the_staged_and_active_lifecycle_per_replica() {
     let _g = guard();
-    let (server, _frozen) = start_server(3, 23, 0);
+    let (server, _frozen) = start_server(3, 1, 23, 0);
     let (snap_b, frozen_b) = snapshot_for(29);
     let client = NetClient::connect(server.addr()).expect("connect");
 
@@ -322,7 +336,7 @@ fn status_reports_the_staged_and_active_lifecycle_per_replica() {
 #[test]
 fn warm_repr_cache_never_serves_the_pre_swap_version() {
     let _g = guard();
-    let (server, frozen_a) = start_server(1, 37, 64);
+    let (server, frozen_a) = start_server(1, 1, 37, 64);
     let (snap_b, frozen_b) = snapshot_for(43);
     let client = NetClient::connect(server.addr()).expect("connect");
 

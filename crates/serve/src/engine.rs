@@ -2,10 +2,16 @@
 //!
 //! Requests arrive as [`ScoreBatch`]es / [`TopK`]s on the calling thread;
 //! their sessions are enqueued individually and **coalesced across
-//! requests** by a pool of scoring workers: a worker drains up to
-//! [`EngineConfig::max_batch`] sessions per forward, waiting at most
-//! [`EngineConfig::flush_deadline_us`] for stragglers to fill the batch
-//! (the classic latency/throughput knob of batched inference servers).
+//! requests** by a pool of scoring workers. A worker holds an underfull
+//! queue open at most [`EngineConfig::flush_deadline_us`] for stragglers
+//! (the classic latency/throughput knob of batched inference servers),
+//! then flushes it. A flush releases up to [`EngineConfig::max_batch`]
+//! sessions per worker and **cuts them into one batch per worker**: the
+//! flushing worker scores the first, and each later drain — an idle peer
+//! at once, a busy one when it is free, else the flusher itself after its
+//! own batch — takes the next without a new hold. Rows never depend on
+//! their batch-mates, so the cut changes which worker scores a session,
+//! never its row.
 //!
 //! Model weights cross threads as the flat snapshot inside a
 //! [`FrozenModel`]; each worker rebuilds a private replica from a
@@ -18,10 +24,11 @@
 //! (`score_request` / `top_k_request`) whose [`TraceCtx`] rides inside
 //! each queued [`Job`]; the scoring worker stamps the batch lifecycle on
 //! the shared monotonic clock and emits `queue_wait`, `batch_assembly`
-//! and `scoring` child spans per job, so the per-request timeline is
-//! reconstructable offline from the JSONL sink. With tracing off the
-//! whole machinery costs one relaxed atomic load per request and per
-//! batch.
+//! and `scoring` child spans once per request per batch, so the
+//! per-request timeline is reconstructable offline from the JSONL sink (a
+//! request cut across two batches shows one triple for each). With
+//! tracing off the whole machinery costs one relaxed atomic load per
+//! request and per batch.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::marker::PhantomData;
@@ -65,12 +72,16 @@ pub const METRIC_SNAPSHOT_SWAPS: &str = "serve.snapshot_swaps";
 /// Tuning knobs of the micro-batching engine.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
-    /// Number of scoring worker threads (each holds a model replica).
+    /// Number of scoring worker threads (each holds a model replica). A
+    /// flush cuts the sessions it releases into this many batches.
     pub workers: usize,
-    /// Maximum sessions coalesced into one batched forward.
+    /// Maximum sessions coalesced into one batched forward. A flush
+    /// releases at most `max_batch × workers` queued sessions; with one
+    /// worker it is the whole batch.
     pub max_batch: usize,
-    /// How long a worker holds an underfull batch open for stragglers,
-    /// in microseconds, before flushing it anyway.
+    /// How long a worker holds an underfull queue open for stragglers, in
+    /// microseconds, before flushing it anyway. The later batches a flush
+    /// cut are taken without a new hold.
     pub flush_deadline_us: u64,
     /// Admission bound: sessions allowed to wait in the queue before a
     /// shedding submit ([`SubmitOptions::shed`]) is rejected with
@@ -312,10 +323,21 @@ struct Job {
     reply: Sender<(usize, u64, Result<Vec<f32>, ServeError>)>,
 }
 
+/// The jobs waiting for a worker, with the cut of the last flush.
+#[derive(Default)]
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// Front jobs a flush released but left for later drains; never more
+    /// than `jobs.len()`.
+    due: usize,
+    /// Size of the batches the due jobs were cut to.
+    cut: usize,
+}
+
 /// Queue state shared between the engine's handles and its workers.
 struct Shared {
     cfg: EngineConfig,
-    queue: Mutex<VecDeque<Job>>,
+    queue: Mutex<Queue>,
     arrivals: Condvar,
     /// Cleared when the engine closes: enqueues are refused from then on,
     /// and workers drain the queue and exit.
@@ -329,7 +351,7 @@ struct Shared {
     cache: Option<ReprCache>,
 }
 
-fn lock(shared: &Shared) -> MutexGuard<'_, VecDeque<Job>> {
+fn lock(shared: &Shared) -> MutexGuard<'_, Queue> {
     match shared.queue.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
@@ -493,8 +515,8 @@ impl Client<'_> {
             if !shared.open.load(Ordering::SeqCst) {
                 return Err(ServeError::Closed);
             }
-            if opts.shed && q.len() >= shared.cfg.queue_cap {
-                let queued = q.len();
+            if opts.shed && q.jobs.len() >= shared.cfg.queue_cap {
+                let queued = q.jobs.len();
                 drop(q);
                 if embsr_obs::metrics::enabled() {
                     embsr_obs::metrics::counter(METRIC_REJECTED).inc();
@@ -511,7 +533,7 @@ impl Client<'_> {
                     continue;
                 }
                 pending += 1;
-                q.push_back(Job {
+                q.jobs.push_back(Job {
                     session,
                     enqueued: Stopwatch::start(),
                     trace: ctx,
@@ -521,7 +543,7 @@ impl Client<'_> {
                     reply: reply.clone(),
                 });
             }
-            let depth = q.len();
+            let depth = q.jobs.len();
             drop(q);
             if embsr_obs::metrics::enabled() {
                 embsr_obs::metrics::histogram(METRIC_QUEUE_DEPTH).record(depth as u64);
@@ -602,20 +624,42 @@ impl Client<'_> {
 
 /// Drains the next micro-batch, or `None` when the engine has shut down and
 /// the queue is empty.
+///
+/// A due batch of an earlier flush is taken at once. Otherwise the worker
+/// holds the queue open until it holds `max_batch` sessions, its oldest
+/// has waited `flush_deadline_us`, or the engine closes; the flush then
+/// releases up to `max_batch` sessions per worker, takes the first of
+/// `workers` equal cuts and leaves the rest due.
 fn next_batch(shared: &Shared) -> Option<Vec<Job>> {
     let cfg = &shared.cfg;
+    let workers = cfg.workers.max(1);
     let deadline = Duration::from_micros(cfg.flush_deadline_us);
     let mut q = lock(shared);
     loop {
-        if let Some(oldest) = q.front() {
+        if q.due > 0 {
+            let take = q.due.min(q.cut);
+            q.due -= take;
+            return Some(q.jobs.drain(..take).collect());
+        }
+        if let Some(oldest) = q.jobs.front() {
             let waited = oldest.enqueued.elapsed();
             // ordering: SeqCst — the open flag must totally order with the
             // queue mutex and shutdown notify so a closing engine can never
             // be seen as open after the final drain (see ShutdownGuard).
             let closing = !shared.open.load(Ordering::SeqCst);
-            if q.len() >= cfg.max_batch || waited >= deadline || closing {
-                let take = q.len().min(cfg.max_batch);
-                return Some(q.drain(..take).collect());
+            if q.jobs.len() >= cfg.max_batch || waited >= deadline || closing {
+                let released = q.jobs.len().min(cfg.max_batch.saturating_mul(workers));
+                let take = released.div_ceil(workers);
+                q.due = released - take;
+                q.cut = take;
+                let batch = q.jobs.drain(..take).collect();
+                if q.due > 0 {
+                    drop(q);
+                    // Idle peers take the due batches now, not after their
+                    // own hold or idle timeout.
+                    shared.arrivals.notify_all();
+                }
+                return Some(batch);
             }
             // Hold the batch open for stragglers, but never past the
             // flush deadline of its oldest session.
@@ -639,6 +683,15 @@ fn next_batch(shared: &Shared) -> Option<Vec<Job>> {
             };
             q = guard;
         }
+    }
+}
+
+/// Adds a traced job's request to a batch's span list unless one of its
+/// jobs is there already, so each request gets one set of phase spans per
+/// batch, starting at its first enqueue stamp in the batch.
+fn note_request(requests: &mut Vec<(TraceCtx, u64)>, job: &Job) {
+    if job.enqueued_us != 0 && !requests.iter().any(|(ctx, _)| *ctx == job.trace) {
+        requests.push((job.trace, job.enqueued_us));
     }
 }
 
@@ -679,7 +732,7 @@ impl Drop for WorkerGuard<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             close(self.0);
-            lock(self.0).clear();
+            *lock(self.0) = Queue::default();
         }
     }
 }
@@ -712,14 +765,14 @@ where
     let tier = frozen.tier();
     let shared = Arc::new(Shared {
         cfg,
-        queue: Mutex::new(VecDeque::new()),
+        queue: Mutex::new(Queue::default()),
         arrivals: Condvar::new(),
         open: AtomicBool::new(true),
         delay_us: AtomicU64::new(0),
         bank: ModelBank::new(
             cfg.initial_version,
             StagedSnapshot {
-                weights: frozen.snapshot().to_vec(),
+                weights: frozen.export_snapshot(),
                 max_session_len: frozen.max_session_len(),
             },
             frozen.param_shapes(),
@@ -778,14 +831,15 @@ where
                 // drain: scoring them would spend forward-pass time on
                 // answers their callers have already written off.
                 let mut live = Vec::with_capacity(batch.len());
+                let mut shed = Vec::new();
                 for job in batch {
                     let waited_us = job.enqueued.elapsed_us();
                     if job.deadline_us != 0 && waited_us >= job.deadline_us {
                         if embsr_obs::metrics::enabled() {
                             embsr_obs::metrics::counter(METRIC_DEADLINE_EXPIRED).inc();
                         }
-                        if tracing && job.enqueued_us != 0 {
-                            trace::emit_span(job.trace, "queue_wait", job.enqueued_us, drained_us);
+                        if tracing {
+                            note_request(&mut shed, &job);
                         }
                         let _ = job.reply.send((
                             job.slot,
@@ -795,6 +849,9 @@ where
                     } else {
                         live.push(job);
                     }
+                }
+                for (ctx, enqueued_us) in shed {
+                    trace::emit_span(ctx, "queue_wait", enqueued_us, drained_us);
                 }
                 if live.is_empty() {
                     continue;
@@ -816,8 +873,8 @@ where
                     // A receiver gone away just means the caller bailed out;
                     // drop its rows rather than killing the worker.
                     let _ = job.reply.send((job.slot, local_version, Ok(row)));
-                    if tracing && job.enqueued_us != 0 {
-                        traced.push((job.trace, job.enqueued_us));
+                    if tracing {
+                        note_request(&mut traced, &job);
                     }
                 }
                 // One shared batch timeline, attributed to every request
@@ -1023,6 +1080,186 @@ mod tests {
         assert_eq!(later, Err(ServeError::Closed), "the dead engine refuses new work");
         let msg = panic_message(&*err);
         assert!(msg.contains("poisoned session"), "wrong panic surfaced: {msg}");
+    }
+
+    /// State shared by a [`ProbedToyModel`]'s replicas.
+    #[derive(Default)]
+    struct ProbeState {
+        /// Sessions in each batch the replicas encoded, in call order.
+        batches: Vec<usize>,
+        /// A replica is inside a gated batch.
+        held: bool,
+        /// The gate is open.
+        open: bool,
+    }
+
+    #[derive(Default)]
+    struct Probe {
+        state: Mutex<ProbeState>,
+        changed: Condvar,
+    }
+
+    impl Probe {
+        fn state(&self) -> MutexGuard<'_, ProbeState> {
+            self.state.lock().unwrap_or_else(|e| e.into_inner())
+        }
+
+        /// Every batch size so far, ascending.
+        fn batches(&self) -> Vec<usize> {
+            let mut sizes = self.state().batches.clone();
+            sizes.sort_unstable();
+            sizes
+        }
+
+        fn wait_until_held(&self) {
+            let mut state = self.state();
+            while !state.held {
+                state = self.changed.wait(state).unwrap_or_else(|e| e.into_inner());
+            }
+        }
+
+        fn open(&self) {
+            self.state().open = true;
+            self.changed.notify_all();
+        }
+    }
+
+    /// [`ToyModel`] that logs each encoded batch's size in its [`Probe`] and
+    /// holds a batch with a session starting at item 0 until the probe
+    /// opens. The hold gives up after a minute, so a broken engine fails
+    /// the test rather than hanging it.
+    struct ProbedToyModel(ToyModel, Arc<Probe>);
+
+    impl SessionModel for ProbedToyModel {
+        fn name(&self) -> &str {
+            "ProbedToy"
+        }
+        fn num_items(&self) -> usize {
+            self.0.num_items()
+        }
+        fn parameters(&self) -> Vec<embsr_tensor::Tensor> {
+            self.0.parameters()
+        }
+        fn repr(&self, s: &Session, t: bool, r: &mut embsr_tensor::Rng) -> embsr_tensor::Tensor {
+            self.0.repr(s, t, r)
+        }
+        fn repr_batch(&self, sessions: &[&Session]) -> embsr_tensor::Tensor {
+            let mut state = self.1.state();
+            state.batches.push(sessions.len());
+            if sessions.iter().any(|s| s.events[0].item == 0) {
+                state.held = true;
+                self.1.changed.notify_all();
+                while !state.open {
+                    let (next, wait) = self
+                        .1
+                        .changed
+                        .wait_timeout(state, Duration::from_secs(60))
+                        .unwrap_or_else(|e| e.into_inner());
+                    state = next;
+                    if wait.timed_out() {
+                        break;
+                    }
+                }
+            }
+            drop(state);
+            self.0.repr_batch(sessions)
+        }
+        fn head(&self) -> embsr_train::Head {
+            self.0.head()
+        }
+    }
+
+    fn bits(rows: &[Vec<f32>]) -> Vec<Vec<u32>> {
+        rows.iter()
+            .map(|row| row.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
+    /// Scores one `n`-session request on a fresh probed engine that never
+    /// flushes on its deadline; returns the batch sizes, ascending, after
+    /// checking the rows bitwise against [`FrozenModel::score_batch`].
+    fn burst_batches(workers: usize, max_batch: usize, n: u32) -> Vec<usize> {
+        let probe = Arc::new(Probe::default());
+        let f = FrozenModel::freeze(ProbedToyModel(ToyModel::new(9, 4), Arc::clone(&probe)), 32);
+        // distinct sessions, none gated: each is its own encoded row
+        let sessions: Vec<Session> = (0..n).map(|i| sess(&[1 + i % 8, i / 8])).collect();
+        let want = frozen(9, 4).score_batch(&sessions);
+        let cfg = EngineConfig {
+            workers,
+            max_batch,
+            flush_deadline_us: 10_000_000,
+            ..EngineConfig::default()
+        };
+        let factory = || ProbedToyModel(ToyModel::new(9, 0), Arc::clone(&probe));
+        let got = serve(&f, factory, cfg, |client| {
+            client
+                .score(ScoreBatch {
+                    sessions: sessions.clone(),
+                })
+                .scores
+        });
+        assert_eq!(bits(&got), bits(&want), "cut rows must be bitwise");
+        probe.batches()
+    }
+
+    #[test]
+    fn a_flushed_burst_is_cut_into_one_batch_per_worker() {
+        // A full batch flushes at once and is cut in halves.
+        assert_eq!(burst_batches(2, 16, 16), vec![8, 8]);
+        // The flusher takes the larger cut: ⌈10/3⌉ = 4, then 4 and 2 due.
+        assert_eq!(burst_batches(3, 10, 10), vec![2, 4, 4]);
+        // A flush releases at most max_batch per worker; the four left
+        // over fill the next batch and are cut again.
+        assert_eq!(burst_batches(2, 4, 12), vec![2, 2, 4, 4]);
+    }
+
+    #[test]
+    fn one_worker_takes_the_whole_burst_in_one_batch() {
+        assert_eq!(burst_batches(1, 16, 16), vec![16]);
+    }
+
+    #[test]
+    fn a_free_worker_takes_the_due_half_while_its_peer_is_held() {
+        let probe = Arc::new(Probe::default());
+        let f = FrozenModel::freeze(ProbedToyModel(ToyModel::new(9, 4), Arc::clone(&probe)), 32);
+        let held = vec![sess(&[0, 1]), sess(&[2]), sess(&[3]), sess(&[4])];
+        let burst = vec![sess(&[5, 1]), sess(&[6, 2]), sess(&[7, 3]), sess(&[8, 4])];
+        let plain = frozen(9, 4);
+        let (want_held, want_burst) = (plain.score_batch(&held), plain.score_batch(&burst));
+        let cfg = EngineConfig {
+            workers: 2,
+            max_batch: 4,
+            // Far longer than the test: any batch that waited out a hold
+            // would show in the burst's latency.
+            flush_deadline_us: 10_000_000,
+            ..EngineConfig::default()
+        };
+        let factory = || ProbedToyModel(ToyModel::new(9, 0), Arc::clone(&probe));
+        let (held_rows, burst_rows, burst_us, batches) = serve(&f, factory, cfg, |client| {
+            // A full batch: the flusher takes the gated half and is held,
+            // its peer takes the due half.
+            let ticket = client
+                .enqueue(held.clone(), SubmitOptions::default(), TraceCtx::NONE)
+                .expect("engine is open");
+            probe.wait_until_held();
+            let watch = Stopwatch::start();
+            let burst_rows = client
+                .score(ScoreBatch {
+                    sessions: burst.clone(),
+                })
+                .scores;
+            let burst_us = watch.elapsed_us();
+            let batches = probe.batches();
+            probe.open();
+            let held_rows = ticket.wait().expect("scored once released").scores;
+            (held_rows, burst_rows, burst_us, batches)
+        });
+        // The free worker scored the held request's due half, then both
+        // halves of the burst, its own and the due one, back to back.
+        assert_eq!(batches, vec![2, 2, 2, 2]);
+        assert!(burst_us < 5_000_000, "the due half waited {burst_us} us");
+        assert_eq!(bits(&burst_rows), bits(&want_burst));
+        assert_eq!(bits(&held_rows), bits(&want_held));
     }
 
     #[test]

@@ -15,10 +15,10 @@ use crate::api::{top_k_of_row, ScoredItem};
 use crate::cache::ReprCache;
 use crate::snapshot;
 
-/// A [`SessionModel`] frozen for serving: the weights are captured as a flat
-/// `f32` snapshot (via `export_params`) and every forward runs tape-free
-/// inside [`inference_mode`], so scoring records no autograd graph and
-/// recycles activations through the tensor buffer pool.
+/// A [`SessionModel`] frozen for serving: the weights stay in the model's
+/// tensors, and every forward runs tape-free inside [`inference_mode`], so
+/// scoring records no autograd graph and recycles activations through the
+/// tensor buffer pool.
 ///
 /// Serving runs on the vectorized kernel tier by default
 /// ([`KernelTier::Simd`]): scores are epsilon-close to the scalar-reference
@@ -31,10 +31,13 @@ use crate::snapshot;
 /// ([`FrozenModel::snapshot_bytes`]): the training checkpoint's tensor list
 /// plus the serving horizon, checked by shape when it is read back.
 ///
-/// The snapshot is plain `Send + Sync` data; worker threads replicate the
-/// model by constructing a fresh instance and calling
+/// The flat `f32` snapshot ([`FrozenModel::snapshot`], via
+/// `export_params`) is plain `Send + Sync` data; worker threads replicate
+/// the model by constructing a fresh instance and calling
 /// [`FrozenModel::from_snapshot`] (tensors are `Rc`-backed and cannot cross
-/// threads themselves).
+/// threads themselves). It is exported on the first `snapshot` call and
+/// dropped by every weight import, so a replica that is never asked for
+/// it holds its weights once.
 ///
 /// Every scoring call takes one path: encode the batch's distinct sessions
 /// that miss the repr cache in one [`SessionModel::repr_batch`] call, replay
@@ -49,7 +52,9 @@ use crate::snapshot;
 /// forward at the same tier.
 pub struct FrozenModel<M: SessionModel> {
     model: M,
-    snapshot: Vec<f32>,
+    /// The flat weights, exported by the first [`FrozenModel::snapshot`]
+    /// call.
+    snapshot: OnceCell<Vec<f32>>,
     max_session_len: usize,
     tier: KernelTier,
     /// The model's logits head prepared for `tier`; empty until the first
@@ -63,10 +68,9 @@ impl<M: SessionModel> FrozenModel<M> {
     /// suffix before scoring, matching the training-time protocol.
     pub fn freeze(model: M, max_session_len: usize) -> Self {
         let _span = embsr_obs::span("embsr_serve", "freeze");
-        let snapshot = export_params(&model.parameters());
         FrozenModel {
             model,
-            snapshot,
+            snapshot: OnceCell::new(),
             max_session_len,
             tier: KernelTier::Simd,
             head: OnceCell::new(),
@@ -81,7 +85,7 @@ impl<M: SessionModel> FrozenModel<M> {
         import_params(&model.parameters(), snapshot);
         FrozenModel {
             model,
-            snapshot: snapshot.to_vec(),
+            snapshot: OnceCell::new(),
             max_session_len,
             tier: KernelTier::Simd,
             head: OnceCell::new(),
@@ -111,7 +115,7 @@ impl<M: SessionModel> FrozenModel<M> {
         }
         import_params(&self.model.parameters(), snapshot);
         self.head.take();
-        self.snapshot = snapshot.to_vec();
+        self.snapshot.take();
         self.max_session_len = max_session_len;
         Ok(())
     }
@@ -160,9 +164,18 @@ impl<M: SessionModel> FrozenModel<M> {
         param_shapes(&self.model.parameters())
     }
 
-    /// The flat weight snapshot (feed to [`FrozenModel::from_snapshot`]).
+    /// The flat weight snapshot (feed to [`FrozenModel::from_snapshot`]),
+    /// exported from the model's tensors on the first call and kept until
+    /// the next weight import.
     pub fn snapshot(&self) -> &[f32] {
-        &self.snapshot
+        self.snapshot
+            .get_or_init(|| export_params(&self.model.parameters()))
+    }
+
+    /// The flat weights, exported without keeping a copy here: for callers
+    /// that hand them to other threads.
+    pub(crate) fn export_snapshot(&self) -> Vec<f32> {
+        export_params(&self.model.parameters())
     }
 
     /// The session-truncation horizon.
@@ -389,6 +402,22 @@ mod tests {
         assert_eq!(frozen.score(&s), replica.score(&s));
         assert_eq!(frozen.num_items(), 6);
         assert_eq!(frozen.tier(), KernelTier::Simd);
+    }
+
+    #[test]
+    fn replica_snapshot_is_its_sources_bitwise_before_and_after_a_swap() {
+        let bits = |w: &[f32]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let source = FrozenModel::freeze(ToyModel::new(6, 7), 32);
+        let mut replica = FrozenModel::from_snapshot(ToyModel::new(6, 99), source.snapshot(), 32);
+        assert!(replica.snapshot.get().is_none(), "a replica exports on demand");
+        assert_eq!(bits(replica.snapshot()), bits(source.snapshot()));
+        // the swap drops the exported copy, and the next call exports the
+        // new weights
+        let next = FrozenModel::freeze(ToyModel::new(6, 8), 16);
+        replica.swap_snapshot(next.snapshot(), 16).unwrap();
+        assert!(replica.snapshot.get().is_none(), "a swap drops the export");
+        assert_eq!(bits(replica.snapshot()), bits(next.snapshot()));
+        assert_ne!(bits(replica.snapshot()), bits(source.snapshot()));
     }
 
     #[test]

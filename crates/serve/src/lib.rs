@@ -4,16 +4,18 @@
 //! prediction API.
 //!
 //! * [`FrozenModel`] — a [`SessionModel`](embsr_train::SessionModel) frozen
-//!   for inference: weights captured as a flat snapshot (`export_params`),
-//!   every forward wrapped in `embsr_tensor::inference_mode` so no autograd
-//!   tape is recorded and activations recycle through the buffer pool.
+//!   for inference: weights exported as a flat snapshot (`export_params`)
+//!   on demand, every forward wrapped in `embsr_tensor::inference_mode` so
+//!   no autograd tape is recorded and activations recycle through the
+//!   buffer pool.
 //! * [`ScoreBatch`] / [`TopK`] — the request/response pairs: full-vocabulary
 //!   score rows for the eval harness, top-`k` recommendations for an
 //!   endpoint.
 //! * [`serve`] — a micro-batching engine on `embsr-pool` workers: requests
 //!   from concurrent callers coalesce into batches of up to
 //!   [`EngineConfig::max_batch`] sessions, held open at most
-//!   [`EngineConfig::flush_deadline_us`]; latency, batch-occupancy and
+//!   [`EngineConfig::flush_deadline_us`], and a flushed burst is cut into
+//!   one batch per worker; latency, batch-occupancy and
 //!   queue-depth land in `embsr_obs` histograms, and when request tracing
 //!   is on ([`embsr_obs::trace`](mod@embsr_obs::trace)) every request
 //!   emits a reconstructable span tree (`score_request` → `queue_wait` /

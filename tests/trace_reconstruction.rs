@@ -233,6 +233,60 @@ fn concurrent_load_preserves_tree_invariants() {
     assert_eq!(all_ids.len(), records.len(), "span ids globally unique");
 }
 
+/// The `queue_wait` / `batch_assembly` / `scoring` spans of one 8-session
+/// score request on an engine with `workers` workers.
+fn eight_session_request_phases(workers: usize) -> [Vec<SpanRecord>; 3] {
+    let frozen = FrozenModel::freeze(ToyModel::new(24, 7), 16);
+    let sessions: Vec<Session> = (0..8u32).map(|i| sess(i as u64, &[i, i + 8])).collect();
+    let (records, _) = with_traced_engine(&frozen, || ToyModel::new(24, 7), workers, |client| {
+        client.score(ScoreBatch { sessions });
+    });
+    let trees = request_trees(&records);
+    assert_eq!(trees.len(), 1, "one request, one tree");
+    let tree = &trees[0];
+    ["queue_wait", "batch_assembly", "scoring"].map(|phase| {
+        let mut spans: Vec<SpanRecord> = tree
+            .spans
+            .iter()
+            .filter(|s| s.name == phase)
+            .cloned()
+            .collect();
+        for s in &spans {
+            assert_eq!(s.parent, tree.root().span, "phase {phase} hangs off the root");
+        }
+        spans.sort_by_key(|s| (s.start_us, s.end_us));
+        spans
+    })
+}
+
+#[test]
+fn a_request_scored_in_one_batch_traces_one_phase_triple() {
+    let _g = guard();
+    // One worker takes all eight sessions in one batch: one triple, not
+    // one per session, so the scoring total counts the batch once.
+    let [wait, assembly, scoring] = eight_session_request_phases(1);
+    assert_eq!((wait.len(), assembly.len(), scoring.len()), (1, 1, 1));
+    assert_eq!(wait[0].end_us, assembly[0].start_us);
+    assert_eq!(assembly[0].end_us, scoring[0].start_us);
+}
+
+#[test]
+fn a_request_cut_across_two_batches_traces_one_triple_per_batch() {
+    let _g = guard();
+    // Two workers: the flush cuts the eight sessions into two batches of
+    // four, and each batch's triple tiles its own drain.
+    let [wait, assembly, scoring] = eight_session_request_phases(2);
+    assert_eq!((wait.len(), assembly.len(), scoring.len()), (2, 2, 2));
+    let mut wait_ends: Vec<u64> = wait.iter().map(|s| s.end_us).collect();
+    wait_ends.sort_unstable();
+    let assembly_starts: Vec<u64> = assembly.iter().map(|s| s.start_us).collect();
+    assert_eq!(wait_ends, assembly_starts, "each batch's queue wait ends at its drain");
+    let mut assembly_ends: Vec<u64> = assembly.iter().map(|s| s.end_us).collect();
+    assembly_ends.sort_unstable();
+    let scoring_starts: Vec<u64> = scoring.iter().map(|s| s.start_us).collect();
+    assert_eq!(assembly_ends, scoring_starts, "each batch's scoring follows its assembly");
+}
+
 #[test]
 fn disabled_tracing_emits_nothing() {
     let _g = guard();
